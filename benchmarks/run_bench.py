@@ -36,12 +36,15 @@ Eight measurements, written to ``BENCH_<timestamp>.json``:
   warm pass that must complete with **zero simulations** (asserted via
   the cache's miss counter) and point-for-point identical results.
 
-* **parallel** — wall-clock for one sweep grid executed serially
+* **parallel** — wall-clock for one grid executed serially
   (``jobs=1``) and through the process pool, with a point-by-point
-  equality check between both result lists.  The pool chunks tasks into
-  one cost-balanced batch per worker (one submission each), so its
-  overhead is bounded by worker startup rather than per-task
-  round-trips.  On a multi-CPU machine the run **asserts**
+  equality check between both result lists.  The grid is one load point
+  over several seeds, so the tasks cost about the same and the pool's
+  best case is the LPT-ideal speedup the run prints beside the measured
+  one (total estimated cost over the heaviest worker batch).  The pool
+  chunks tasks into one cost-balanced batch per worker (one submission
+  each), so its overhead is bounded by worker startup rather than
+  per-task round-trips.  On a multi-CPU machine the run **asserts**
   ``speedup > 1``; on a single-CPU machine true speedup is impossible
   (the pool can only add overhead), so the assertion is recorded as
   skipped instead.
@@ -101,7 +104,13 @@ if __name__ == "__main__" and __package__ is None:
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.harness.parallel import SimTask, resolve_jobs, run_tasks
+from repro.harness.cost import estimate_task_cycles
+from repro.harness.parallel import (
+    SimTask,
+    partition_tasks,
+    resolve_jobs,
+    run_tasks,
+)
 from repro.metrics.sweep import point_from_result
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
@@ -150,8 +159,13 @@ QUICK_TORUS_MATRIX = (
     (8, "footprint", 0.2),
 )
 
-PARALLEL_RATES = (0.05, 0.1, 0.15, 0.2)
-QUICK_PARALLEL_RATES = (0.05, 0.15)
+#: The pooled-vs-serial grid: one load point over several seeds, so the
+#: tasks cost about the same.  (A grid of rates mixes cheap and dear
+#: tasks: two at 0.05 and 0.15 cap two workers at ~1.3x before pool
+#: start-up, which a 2-CPU host could not reliably beat.)
+PARALLEL_RATE = 0.1
+PARALLEL_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
+QUICK_PARALLEL_SEEDS = (1, 2, 3, 4)
 
 CACHE_RATES = (0.01, 0.02, 0.05, 0.1)
 QUICK_CACHE_RATES = (0.01, 0.05)
@@ -683,10 +697,19 @@ def bench_cache(quick: bool) -> dict:
 
 
 def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
-    rates = QUICK_PARALLEL_RATES if quick else PARALLEL_RATES
-    config = _bench_config(8, "footprint", 0.05, quick)
-    tasks = [SimTask(config, rate=rate) for rate in rates]
+    seeds = QUICK_PARALLEL_SEEDS if quick else PARALLEL_SEEDS
+    config = _bench_config(8, "footprint", PARALLEL_RATE, quick)
+    tasks = [SimTask(config.with_(seed=seed)) for seed in seeds]
+    rates = [PARALLEL_RATE] * len(tasks)
     workers = resolve_jobs(jobs if jobs is not None else "auto")
+    # The best a pool of ``workers`` can do on this grid: what the
+    # cost-balanced batches allow, before worker start-up.
+    costs = [estimate_task_cycles(task) for task in tasks]
+    heaviest = max(
+        sum(costs[i] for i in batch)
+        for batch in partition_tasks(costs, workers)
+    )
+    ideal_speedup = sum(costs) / heaviest
 
     t0 = time.perf_counter()
     serial = run_tasks(tasks, jobs=1)
@@ -721,7 +744,8 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
     print(
         f"  {len(tasks)} tasks: serial={serial_seconds:.2f}s  "
         f"jobs={workers}: {parallel_seconds:.2f}s  "
-        f"{speedup:.2f}x  identical={identical}  pool-identical=True"
+        f"{speedup:.2f}x (LPT ideal {ideal_speedup:.2f}x)  "
+        f"identical={identical}  pool-identical=True"
     )
     if multi_cpu:
         if speedup <= 1.0:
@@ -736,12 +760,14 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
         print(f"  speedup>1 assertion {assertion}")
     return {
         "tasks": len(tasks),
-        "rates": list(rates),
+        "rates": rates,
+        "seeds": list(seeds),
         "jobs": workers,
         "cpu_count": cpus,
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(speedup, 3),
+        "lpt_ideal_speedup": round(ideal_speedup, 3),
         "speedup_assertion": assertion,
         "results_identical": identical,
         "pool_results_identical": True,

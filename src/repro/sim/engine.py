@@ -286,6 +286,9 @@ class Simulator:
         #: Flits enqueued at sources but not yet injected (aggregate of
         #: ``Source.pending_flits``); part of the quiescence check.
         self._source_backlog = 0
+        #: Flits buffered in sinks (aggregate of ``Sink.occupancy``),
+        #: kept by :meth:`_step_fast` to skip the drain loop when zero.
+        self._sink_flits = 0
         self._skip_idle = engine_mode == "skip"
         self._step_impl = (
             self._step_legacy if engine_mode == "legacy" else self._step_fast
@@ -434,6 +437,7 @@ class Simulator:
             routers[node].receive_flit(direction, vc, flit)
         for node, vc, flit in sink_now:
             self.sinks[node].receive(vc, flit)
+        self._sink_flits += len(sink_now)
 
         # Active set for this cycle.  All state changes that can wake a
         # router happen in stage 1 (arrivals/credits) or last cycle's
@@ -447,15 +451,17 @@ class Simulator:
         credits_next = self._credits_next
         flits_next = self._flits_next
         sink_next = self._sink_next
-        for sink in self.sinks:
-            if sink.occupancy == 0:
-                continue
-            if router_dead is not None and router_dead[sink.node]:
-                continue
-            for vc in sink.drain(cycle):
-                credits_next.append((sink.node, Direction.LOCAL, vc))
-                progressed = True
-                self._flits_in_network -= 1
+        if self._sink_flits:
+            for sink in self.sinks:
+                if sink.occupancy == 0:
+                    continue
+                if router_dead is not None and router_dead[sink.node]:
+                    continue
+                for vc in sink.drain(cycle):
+                    credits_next.append((sink.node, Direction.LOCAL, vc))
+                    progressed = True
+                    self._flits_in_network -= 1
+                    self._sink_flits -= 1
 
         # 3. Link traversal.  Dead routers launch nothing; live routers
         # skip blocked output links (the flit stays staged).
@@ -530,18 +536,19 @@ class Simulator:
                 val.packet_generated(packet, False)
             self.sources[packet.src].enqueue(packet)
             self._source_backlog += packet.size
-        for source in self.sources:
-            if not source.pending_flits:
-                continue
-            if router_dead is not None and router_dead[source.node]:
-                continue
-            flit = source.inject(cycle)
-            if flit is not None:
-                self._flits_in_network += 1
-                self._source_backlog -= 1
-                progressed = True
-                if tel is not None:
-                    tel.inject(cycle, source.node, flit)
+        if self._source_backlog:
+            for source in self.sources:
+                if not source.pending_flits:
+                    continue
+                if router_dead is not None and router_dead[source.node]:
+                    continue
+                flit = source.inject(cycle)
+                if flit is not None:
+                    self._flits_in_network += 1
+                    self._source_backlog -= 1
+                    progressed = True
+                    if tel is not None:
+                        tel.inject(cycle, source.node, flit)
 
         self._watchdog(progressed, cycle)
         if tel is not None:

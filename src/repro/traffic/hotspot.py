@@ -125,11 +125,15 @@ class HotspotTraffic(LookaheadTraffic):
             )
         return packets
 
-    def next_event_cycle(self, now: int, horizon: int) -> int | None:
-        if (
-            self.config.hotspot_rate <= 0.0
-            and self.config.background_rate <= 0.0
-            and self._buffer_cycle < now
-        ):
-            return None
-        return super().next_event_cycle(now, horizon)
+    def _idle_thresholds(self) -> list[float]:
+        # Flows first, then background nodes; bernoulli_generates draws
+        # nothing at rate 0, so those sources drop out.
+        mean_size = self.config.mean_packet_size
+        thresholds: list[float] = []
+        rate = self.config.hotspot_rate
+        if rate > 0.0:
+            thresholds += [rate / mean_size] * len(self.flows)
+        rate = self.config.background_rate
+        if rate > 0.0:
+            thresholds += [rate / mean_size] * len(self.background_nodes)
+        return thresholds

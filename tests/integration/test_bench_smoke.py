@@ -81,8 +81,12 @@ def test_quick_bench_writes_report(run_bench, tmp_path):
     parallel = payload["parallel"]
     assert parallel["results_identical"] is True
     assert parallel["pool_results_identical"] is True
-    assert parallel["tasks"] == len(run_bench.QUICK_PARALLEL_RATES)
+    assert parallel["tasks"] == len(run_bench.QUICK_PARALLEL_SEEDS)
     assert parallel["cpu_count"] >= 1
+    # Equal-cost tasks: the pool's ideal is the task count over the
+    # largest batch's.
+    tasks, jobs = parallel["tasks"], parallel["jobs"]
+    assert parallel["lpt_ideal_speedup"] == round(tasks / -(-tasks // jobs), 3)
     # On multi-CPU hosts bench_parallel raises if the pool loses to
     # serial; single-CPU hosts record why the assertion was skipped.
     assert (

@@ -82,6 +82,43 @@ def test_skip_matches_legacy_hotspot():
     )
 
 
+# ----------------------------------------------------------------------
+# Light load: the word-parallel Bernoulli scan serves both the idle
+# lookahead and the stepped cycles, so every engine mode must still see
+# the same packets on the same cycles.
+# ----------------------------------------------------------------------
+_LIGHT_LOAD = {
+    "uniform_1e-4": {"width": 8, "injection_rate": 1e-4},
+    "transpose_1e-4": {
+        "width": 8,
+        "traffic": "transpose",
+        "injection_rate": 1e-4,
+    },
+    "hotspot_1e-3_background_1e-4": {
+        "width": 8,
+        "traffic": "hotspot",
+        "injection_rate": 0.0,
+        "hotspot_rate": 1e-3,
+        "background_rate": 1e-4,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIGHT_LOAD))
+def test_light_load_modes_agree(name):
+    overrides = dict(
+        _LIGHT_LOAD[name],
+        warmup_cycles=500,
+        measure_cycles=12_000,
+        drain_cycles=1000,
+    )
+    legacy = _run("legacy", **overrides)
+    assert legacy.measured_ejected > 20
+    expected = _signature(legacy)
+    for mode in ("fast", "skip", "vector"):
+        assert _signature(_run(mode, **overrides)) == expected, mode
+
+
 def test_skip_matches_legacy_trace():
     # Sparse trace with long gaps: skipping jumps straight between events.
     events = [

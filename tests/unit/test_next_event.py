@@ -23,6 +23,35 @@ def _synthetic(rate, seed=1, width=4, pattern="uniform"):
     return SyntheticTraffic(pattern, config, mesh, random.Random(seed))
 
 
+def _per_draw(traffic):
+    """Force per-draw scanning: the oracle the word-parallel scan must
+    match (overrides the cached ``_scanner`` property)."""
+    traffic._scanner = None
+    return traffic
+
+
+def _drive(traffic, horizon, busy=6):
+    """Jump from event to event like the engine, stepping ``busy``
+    cycles of generation after each; return every non-empty cycle's
+    packets and the RNG state right after each event was found."""
+    seen = []
+    now = 0
+    while now < horizon:
+        event = traffic.next_event_cycle(now, horizon)
+        if event is None or event >= horizon:
+            break
+        state = traffic.rng.getstate()
+        for cycle in range(event, min(event + busy, horizon)):
+            packets = traffic.generate(cycle, True)
+            if packets:
+                seen.append(
+                    (cycle, [(p.src, p.dst, p.size, p.flow) for p in packets])
+                )
+        seen.append(("state", event, state))
+        now = min(event + busy, horizon)
+    return seen
+
+
 class TestDefaultContract:
     def test_default_returns_now(self):
         # Custom generators that know nothing about skipping must keep
@@ -91,6 +120,40 @@ class TestSyntheticLookahead:
         packets = traffic.generate(event, False)
         assert packets and all(not p.measured for p in packets)
 
+    def test_light_load_scans_word_parallel(self):
+        assert _synthetic(1e-4, width=8)._scanner is not None
+        # Dense traffic fires nearly every cycle: per-draw stays.
+        assert _synthetic(0.3, width=8)._scanner is None
+
+    def test_uniform_light_load_matches_per_draw(self):
+        scanner = _synthetic(1e-4, seed=4, width=8)
+        oracle = _per_draw(_synthetic(1e-4, seed=4, width=8))
+        seen = _drive(scanner, 40_000)
+        assert len(seen) > 20
+        assert seen == _drive(oracle, 40_000)
+
+    def test_transpose_silent_diagonal_matches_per_draw(self):
+        # Diagonal nodes draw, and may fire, but send nothing: the scan
+        # stops on such cycles, generates them, and must move on.
+        rate, seed, horizon = 1e-4, 6, 60_000
+        scanner = _synthetic(rate, seed=seed, width=8, pattern="transpose")
+        oracle = _per_draw(
+            _synthetic(rate, seed=seed, width=8, pattern="transpose")
+        )
+        assert scanner._scanner is not None
+        seen = _drive(scanner, horizon)
+        assert seen == _drive(oracle, horizon)
+        # Transpose with fixed-size packets draws exactly one random()
+        # per node per cycle, so the silent firing cycles can be counted.
+        rng = random.Random(seed)
+        mesh = Mesh2D(8)
+        diagonal = {mesh.node_at(i, i) for i in range(8)}
+        silent = 0
+        for _ in range(horizon):
+            fired = {n for n in range(64) if rng.random() < rate}
+            silent += bool(fired) and fired <= diagonal
+        assert silent > 0
+
 
 class TestTraceLookahead:
     def _traffic(self, events):
@@ -143,3 +206,33 @@ class TestHotspotLookahead:
         assert [
             (p.src, p.dst, p.size, p.measured) for p in got
         ] == [(p.src, p.dst, p.size, p.measured) for p in expected]
+
+    def test_low_rate_scans_word_parallel_and_matches_per_draw(self):
+        def make(seed):
+            config = SimulationConfig(
+                width=8,
+                traffic="hotspot",
+                hotspot_rate=1e-3,
+                background_rate=1e-4,
+                seed=seed,
+            )
+            return HotspotTraffic(config, Mesh2D(8), random.Random(seed))
+
+        scanner = make(8)
+        assert scanner._scanner is not None
+        seen = _drive(scanner, 30_000)
+        flows = {
+            flow
+            for item in seen
+            if item[0] != "state"
+            for *_, flow in item[1]
+        }
+        assert flows == {"hotspot", "background"}
+        assert seen == _drive(_per_draw(make(8)), 30_000)
+
+    def test_rate_zero_flows_draw_nothing(self):
+        # Only the background draws; the flows drop out of the scan.
+        scanner = self._traffic(0.0, 2e-4, seed=3)
+        oracle = _per_draw(self._traffic(0.0, 2e-4, seed=3))
+        assert scanner._idle_thresholds() == [2e-4] * 8
+        assert _drive(scanner, 50_000) == _drive(oracle, 50_000)
