@@ -38,7 +38,9 @@ Eight measurements, written to ``BENCH_<timestamp>.json``:
 
 * **parallel** — wall-clock for one grid executed serially
   (``jobs=1``) and through the process pool, with a point-by-point
-  equality check between both result lists.  The grid is one load point
+  equality check between both result lists.  Serial and pooled runs
+  alternate for ``PARALLEL_REPS`` pairs; the speedup compares their
+  medians and the report records every run and the per-pair spread.  The grid is one load point
   over several seeds, so the tasks cost about the same and the pool's
   best case is the LPT-ideal speedup the run prints beside the measured
   one (total estimated cost over the heaviest worker batch).  The pool
@@ -93,6 +95,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -166,6 +169,9 @@ QUICK_TORUS_MATRIX = (
 PARALLEL_RATE = 0.1
 PARALLEL_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
 QUICK_PARALLEL_SEEDS = (1, 2, 3, 4)
+#: Interleaved serial/pooled pairs timed per run; the speedup compares
+#: their medians.
+PARALLEL_REPS = 3
 
 CACHE_RATES = (0.01, 0.02, 0.05, 0.1)
 QUICK_CACHE_RATES = (0.01, 0.05)
@@ -711,23 +717,33 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
     )
     ideal_speedup = sum(costs) / heaviest
 
-    t0 = time.perf_counter()
-    serial = run_tasks(tasks, jobs=1)
-    serial_seconds = time.perf_counter() - t0
+    # Interleaved serial/pooled pairs, compared by their medians: one
+    # pair is at the mercy of whatever else the host runs meanwhile.
+    serial_runs: list[float] = []
+    parallel_runs: list[float] = []
+    serial_points = None
+    identical = True
+    for _ in range(PARALLEL_REPS):
+        t0 = time.perf_counter()
+        serial = run_tasks(tasks, jobs=1)
+        serial_runs.append(time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    pooled = run_tasks(tasks, jobs=workers)
-    parallel_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        pooled = run_tasks(tasks, jobs=workers)
+        parallel_runs.append(time.perf_counter() - t0)
 
-    serial_points = [
-        point_from_result(r, rate) for r, rate in zip(serial, rates)
-    ]
-    pooled_points = [
-        point_from_result(r, rate) for r, rate in zip(pooled, rates)
-    ]
-    identical = serial_points == pooled_points
+        points = [point_from_result(r, rate) for r, rate in zip(serial, rates)]
+        pooled_points = [
+            point_from_result(r, rate) for r, rate in zip(pooled, rates)
+        ]
+        if serial_points is None:
+            serial_points = points
+        identical = identical and points == serial_points == pooled_points
     if not identical:
         raise AssertionError("parallel sweep diverged from serial sweep")
+    serial_seconds = statistics.median(serial_runs)
+    parallel_seconds = statistics.median(parallel_runs)
+    pair_speedups = [a / b for a, b in zip(serial_runs, parallel_runs)]
 
     # With one resolved worker run_tasks stays in-process, so force the
     # pool once to prove results survive the process boundary unchanged.
@@ -742,17 +758,20 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
     cpus = os.cpu_count() or 1
     multi_cpu = cpus >= 2 and workers >= 2
     print(
-        f"  {len(tasks)} tasks: serial={serial_seconds:.2f}s  "
+        f"  {len(tasks)} tasks, median of {PARALLEL_REPS} interleaved "
+        f"pairs: serial={serial_seconds:.2f}s  "
         f"jobs={workers}: {parallel_seconds:.2f}s  "
-        f"{speedup:.2f}x (LPT ideal {ideal_speedup:.2f}x)  "
+        f"{speedup:.2f}x (pairs {min(pair_speedups):.2f}-"
+        f"{max(pair_speedups):.2f}x, LPT ideal {ideal_speedup:.2f}x)  "
         f"identical={identical}  pool-identical=True"
     )
     if multi_cpu:
         if speedup <= 1.0:
             raise AssertionError(
                 f"pooled sweep slower than serial on a {cpus}-CPU host: "
-                f"{speedup:.2f}x (batched submission should beat serial "
-                f"whenever real parallelism exists)"
+                f"{speedup:.2f}x median of {PARALLEL_REPS} pairs (batched "
+                f"submission should beat serial whenever real parallelism "
+                f"exists)"
             )
         assertion = "passed"
     else:
@@ -764,9 +783,16 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
         "seeds": list(seeds),
         "jobs": workers,
         "cpu_count": cpus,
+        "reps": PARALLEL_REPS,
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
+        "serial_runs": [round(t, 3) for t in serial_runs],
+        "parallel_runs": [round(t, 3) for t in parallel_runs],
         "speedup": round(speedup, 3),
+        "speedup_spread": [
+            round(min(pair_speedups), 3),
+            round(max(pair_speedups), 3),
+        ],
         "lpt_ideal_speedup": round(ideal_speedup, 3),
         "speedup_assertion": assertion,
         "results_identical": identical,

@@ -313,6 +313,20 @@ class OutputPort:
         the caches may legitimately lag the arrays.
         """
         depth = self.downstream_depth
+        adaptive = self._adaptive
+        idle_cache = self._idle_cache
+        if (
+            not self.fifo
+            and not any(self.allocated)
+            and not any(self._draining)
+            and self.credits == [depth] * self.num_vcs
+            and self._busy_count == 0
+            and not self._fp_index
+            and self._adaptive_credits == depth * len(adaptive)
+            and (idle_cache is None or idle_cache == adaptive)
+        ):
+            # Fully idle: every recount below is trivially satisfied.
+            return None
         for vc in range(self.num_vcs):
             credit = self.credits[vc]
             if not 0 <= credit <= depth:

@@ -141,6 +141,7 @@ class InputVc:
                 return "IDLE input VC holds output registers"
             if self.committed_dir is not None:
                 return "IDLE input VC holds a route commitment"
+            return None  # empty: no wormhole order to check
         elif state is VcState.ROUTING:
             if not fifo:
                 return "ROUTING input VC has no buffered flit"

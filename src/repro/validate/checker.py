@@ -34,6 +34,12 @@ from-scratch recount.  The catalogue:
   escape condition), and a busy VC carries only its owner destination's
   packets (the footprint same-destination property).
 
+Every checked cycle runs a full sweep.  It reaches its verdict through
+whole-port and whole-router passes (idle links and idle VCs cost a few
+attribute reads) and walks the per-VC recount only to name a
+violation; for every state it raises what that recount raises, which
+``tests/property/test_prop_checker_equivalence.py`` holds it to.
+
 Violations raise :class:`~repro.exceptions.InvariantViolation` with
 cycle/router/port/VC context.  A :class:`ValidationConfig` ``mutate``
 hook deliberately corrupts one piece of state mid-run (see
@@ -43,6 +49,7 @@ hook deliberately corrupts one piece of state mid-run (see
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, truth
 from typing import TYPE_CHECKING
 
 from repro.exceptions import InvariantViolation
@@ -53,6 +60,18 @@ from repro.validate.config import ValidationConfig
 if TYPE_CHECKING:
     from repro.router.flit import Packet
     from repro.sim.engine import Simulator
+
+#: Shared empty tally for ports with nothing in flight.
+_NONE: dict = {}
+
+
+def _tally(table: dict, key, vc: int) -> None:
+    """Count one in-flight item for ``vc`` under ``key``."""
+    counts = table.get(key)
+    if counts is None:
+        table[key] = {vc: 1}
+    else:
+        counts[vc] = counts.get(vc, 0) + 1
 
 
 class InvariantChecker:
@@ -70,6 +89,9 @@ class InvariantChecker:
         # Allowed-direction memo: routing geometry is static for a run,
         # so (node, dst, src) -> frozenset of legal output directions.
         self._allowed: dict[tuple[int, int, int], frozenset] = {}
+        # Static geometry, built on the first sweep: the credit ledger's
+        # port -> downstream table and each router's (port, VC) pairs.
+        self._geo: _Geometry | None = None
         self._mutator = None
         if config.mutate is not None:
             from repro.validate.mutations import Mutator
@@ -205,18 +227,18 @@ class InvariantChecker:
             )
 
     def _check_credits(self, sim: "Simulator", cycle: int) -> None:
-        # Index the one-cycle pipelines once; the sweep below consumes
-        # them keyed exactly as the engine stores them.
-        wire_flits: Counter = Counter()
+        # Fold the one-cycle pipelines and the fault-held credits into
+        # per-port tallies once: {port key: {vc: count}}.
+        wire_flits: dict = {}
         for node, direction, vc, _flit in sim._flits_next:
-            wire_flits[(node, direction, vc)] += 1
-        wire_credits: Counter = Counter()
+            _tally(wire_flits, (node, direction), vc)
+        returning: dict = {}
         for node, direction, vc in sim._credits_next:
-            wire_credits[(node, direction, vc)] += 1
-        sink_wire: Counter = Counter()
+            _tally(returning, (node, direction), vc)
+        sink_wire: dict = {}
         for node, vc, _flit in sim._sink_next:
-            sink_wire[(node, vc)] += 1
-        held: Counter = Counter()
+            _tally(sink_wire, node, vc)
+        held: dict = {}
         fm = sim.faults
         if fm is not None:
             problem = fm.mask_violation()
@@ -225,125 +247,108 @@ class InvariantChecker:
                     "credit_accounting", problem, cycle=cycle
                 )
             for node, direction, vc in fm.held_snapshot():
-                held[(node, direction, vc)] += 1
+                _tally(held, (node, direction), vc)
 
-        mesh = sim.mesh
-        local = Direction.LOCAL
-        for router in sim.routers:
-            node = router.node
-            for direction, port in router.output_ports.items():
-                staged = [0] * port.num_vcs
-                for _flit, vc in port.fifo:
-                    staged[vc] += 1
-                if direction is local:
-                    sink = sim.sinks[node]
-                    downstream = [
-                        len(sink.buffers[vc]) + sink_wire[(node, vc)]
-                        for vc in range(port.num_vcs)
-                    ]
-                else:
-                    nbr = mesh.neighbor(node, direction)
-                    in_dir = OPPOSITE[direction]
-                    fifos = sim.routers[nbr].input_vcs[in_dir]
-                    downstream = [
-                        len(fifos[vc].fifo) + wire_flits[(nbr, in_dir, vc)]
-                        for vc in range(port.num_vcs)
-                    ]
-                depth = port.downstream_depth
-                for vc in range(port.num_vcs):
-                    total = (
-                        port.credits[vc]
-                        + staged[vc]
-                        + downstream[vc]
-                        + wire_credits[(node, direction, vc)]
-                        + held[(node, direction, vc)]
-                    )
-                    if total != depth:
-                        raise InvariantViolation(
-                            "credit_accounting",
-                            f"{port.credits[vc]} credits + {staged[vc]} "
-                            f"staged + {downstream[vc]} downstream + "
-                            f"{wire_credits[(node, direction, vc)]} "
-                            f"returning + {held[(node, direction, vc)]} "
-                            f"fault-held = {total}, expected the buffer "
-                            f"depth {depth}",
-                            cycle=cycle,
-                            node=node,
-                            direction=direction,
-                            vc=vc,
-                        )
+        links = self._geometry(sim).links
+        for key, port, sink, down_key, down_vcs in links:
+            credits = port.credits
+            depth = port.downstream_depth
+            num_vcs = port.num_vcs
+            ret = returning.get(key)
+            hold = held.get(key)
+            if sink is not None:
+                occupancy = [len(buffer) for buffer in sink.buffers]
+                wire = sink_wire.get(key[0])
+            else:
+                wire = wire_flits.get(down_key)
+                if not (wire or ret or hold or port.fifo) and (
+                    credits.count(depth) == num_vcs
+                ):
+                    # An idle link: all credits home, so the downstream
+                    # buffer must be empty.
+                    for ivc in down_vcs:
+                        if ivc.fifo:
+                            break
+                    else:
+                        continue
+                occupancy = [len(ivc.fifo) for ivc in down_vcs]
+            # Free credits + downstream occupancy, plus whatever is in
+            # flight between the two buffers, must fill the buffer.
+            totals = list(map(add, credits, occupancy))
+            for _flit, vc in port.fifo:
+                totals[vc] += 1
+            for tally in (wire, ret, hold):
+                if tally:
+                    for vc, count in tally.items():
+                        if 0 <= vc < num_vcs:
+                            totals[vc] += count
+            if totals.count(depth) != num_vcs:
+                self._explain_credits(
+                    key, port, occupancy, wire, ret, hold, cycle
+                )
+
+    @staticmethod
+    def _explain_credits(
+        key, port, occupancy, wire, ret, hold, cycle: int
+    ) -> None:
+        """Raise the first VC of ``port`` whose credit ledger is off."""
+        node, direction = key
+        wire = wire or _NONE
+        ret = ret or _NONE
+        hold = hold or _NONE
+        depth = port.downstream_depth
+        staged = [0] * port.num_vcs
+        for _flit, vc in port.fifo:
+            staged[vc] += 1
+        for vc in range(port.num_vcs):
+            downstream = occupancy[vc] + wire.get(vc, 0)
+            total = (
+                port.credits[vc]
+                + staged[vc]
+                + downstream
+                + ret.get(vc, 0)
+                + hold.get(vc, 0)
+            )
+            if total != depth:
+                raise InvariantViolation(
+                    "credit_accounting",
+                    f"{port.credits[vc]} credits + {staged[vc]} "
+                    f"staged + {downstream} downstream + "
+                    f"{ret.get(vc, 0)} returning + "
+                    f"{hold.get(vc, 0)} fault-held = {total}, "
+                    f"expected the buffer depth {depth}",
+                    cycle=cycle,
+                    node=node,
+                    direction=direction,
+                    vc=vc,
+                )
+
+    def _geometry(self, sim: "Simulator") -> "_Geometry":
+        geometry = self._geo
+        if geometry is None:
+            geometry = self._geo = _Geometry(sim)
+        return geometry
 
     def _check_vc_states(self, sim: "Simulator", cycle: int) -> None:
-        for router in sim.routers:
-            node = router.node
-            buffered = 0
-            routing_keys = set()
-            claims: Counter = Counter()
-            for direction, vcs in router.input_vcs.items():
-                mask = router._occupied_masks[direction]
-                for ivc in vcs:
-                    problem = ivc.legality_violation()
-                    if problem is not None:
-                        raise InvariantViolation(
-                            "vc_states",
-                            problem,
-                            cycle=cycle,
-                            node=node,
-                            direction=direction,
-                            vc=ivc.index,
-                        )
-                    occ = len(ivc.fifo)
-                    buffered += occ
-                    if bool((mask >> ivc.index) & 1) != bool(occ):
-                        raise InvariantViolation(
-                            "vc_states",
-                            f"occupancy bitmask disagrees with a "
-                            f"{occ}-flit FIFO",
-                            cycle=cycle,
-                            node=node,
-                            direction=direction,
-                            vc=ivc.index,
-                        )
-                    if ivc.state is VcState.ROUTING:
-                        routing_keys.add((direction, ivc.index))
-                    elif ivc.state is VcState.ACTIVE:
-                        claims[(ivc.out_direction, ivc.out_vc)] += 1
-            pending_keys = set(router._pending)
-            if pending_keys != routing_keys:
-                raise InvariantViolation(
-                    "vc_states",
-                    f"pending-allocation index {sorted(pending_keys)} != "
-                    f"ROUTING VCs {sorted(routing_keys)}",
-                    cycle=cycle,
-                    node=node,
-                )
-            if buffered != router.buffered_input_flits:
-                raise InvariantViolation(
-                    "vc_states",
-                    f"router counts {router.buffered_input_flits} buffered "
-                    f"input flits, recount says {buffered}",
-                    cycle=cycle,
-                    node=node,
-                )
-            staged = sum(len(p.fifo) for p in router.output_ports.values())
-            if staged != router.staged_flits:
-                raise InvariantViolation(
-                    "vc_states",
-                    f"router counts {router.staged_flits} staged flits, "
-                    f"recount says {staged}",
-                    cycle=cycle,
-                    node=node,
-                )
-            if router.inflight != buffered + staged:
-                raise InvariantViolation(
-                    "vc_states",
-                    f"router counts {router.inflight} inflight flits, "
-                    f"recount says {buffered} buffered + {staged} staged",
-                    cycle=cycle,
-                    node=node,
-                )
-            for direction, port in router.output_ports.items():
-                problem = port.consistency_violation()
+        # Verdict first, explanation second: a healthy router passes one
+        # cheap pass; only a router that fails it runs the per-VC loop
+        # that names the first violation.
+        domains = self._geometry(sim).claim_domains
+        for router, domain in zip(sim.routers, domains):
+            if not router_clean(router, domain):
+                self._explain_vc_states(router, cycle)
+
+    def _explain_vc_states(self, router, cycle: int) -> None:
+        """The per-VC loop: raises ``router``'s first vc_states
+        violation, with its full context."""
+        node = router.node
+        buffered = 0
+        routing_keys = set()
+        claims: Counter = Counter()
+        for direction, vcs in router.input_vcs.items():
+            mask = router._occupied_masks[direction]
+            for ivc in vcs:
+                problem = ivc.legality_violation()
                 if problem is not None:
                     raise InvariantViolation(
                         "vc_states",
@@ -351,55 +356,119 @@ class InvariantChecker:
                         cycle=cycle,
                         node=node,
                         direction=direction,
+                        vc=ivc.index,
                     )
-                if port.fresh_released and not (
-                    router.inflight or router.credit_pending
-                ):
-                    # A fresh set must be consumed by the very next
-                    # allocation round; a router holding one must
-                    # therefore be scheduled to run that round.
+                occ = len(ivc.fifo)
+                buffered += occ
+                if bool((mask >> ivc.index) & 1) != bool(occ):
                     raise InvariantViolation(
                         "vc_states",
-                        "freshly-released VC set on a router no longer "
-                        "scheduled for an allocation round",
+                        f"occupancy bitmask disagrees with a "
+                        f"{occ}-flit FIFO",
                         cycle=cycle,
                         node=node,
                         direction=direction,
+                        vc=ivc.index,
                     )
-                for vc in range(port.num_vcs):
-                    holders = claims[(direction, vc)]
-                    if port.allocated[vc]:
-                        if holders != 1:
-                            raise InvariantViolation(
-                                "vc_states",
-                                f"allocated downstream VC held by "
-                                f"{holders} ACTIVE input VCs, expected "
-                                f"exactly one",
-                                cycle=cycle,
-                                node=node,
-                                direction=direction,
-                                vc=vc,
-                            )
-                    elif holders:
+                if ivc.state is VcState.ROUTING:
+                    routing_keys.add((direction, ivc.index))
+                elif ivc.state is VcState.ACTIVE:
+                    claims[(ivc.out_direction, ivc.out_vc)] += 1
+        pending_keys = set(router._pending)
+        if pending_keys != routing_keys:
+            raise InvariantViolation(
+                "vc_states",
+                f"pending-allocation index {sorted(pending_keys)} != "
+                f"ROUTING VCs {sorted(routing_keys)}",
+                cycle=cycle,
+                node=node,
+            )
+        if buffered != router.buffered_input_flits:
+            raise InvariantViolation(
+                "vc_states",
+                f"router counts {router.buffered_input_flits} buffered "
+                f"input flits, recount says {buffered}",
+                cycle=cycle,
+                node=node,
+            )
+        staged = sum(len(p.fifo) for p in router.output_ports.values())
+        if staged != router.staged_flits:
+            raise InvariantViolation(
+                "vc_states",
+                f"router counts {router.staged_flits} staged flits, "
+                f"recount says {staged}",
+                cycle=cycle,
+                node=node,
+            )
+        if router.inflight != buffered + staged:
+            raise InvariantViolation(
+                "vc_states",
+                f"router counts {router.inflight} inflight flits, "
+                f"recount says {buffered} buffered + {staged} staged",
+                cycle=cycle,
+                node=node,
+            )
+        for direction, port in router.output_ports.items():
+            problem = port.consistency_violation()
+            if problem is not None:
+                raise InvariantViolation(
+                    "vc_states",
+                    problem,
+                    cycle=cycle,
+                    node=node,
+                    direction=direction,
+                )
+            if port.fresh_released and not (
+                router.inflight or router.credit_pending
+            ):
+                # A fresh set must be consumed by the very next
+                # allocation round; a router holding one must
+                # therefore be scheduled to run that round.
+                raise InvariantViolation(
+                    "vc_states",
+                    "freshly-released VC set on a router no longer "
+                    "scheduled for an allocation round",
+                    cycle=cycle,
+                    node=node,
+                    direction=direction,
+                )
+            for vc in range(port.num_vcs):
+                holders = claims[(direction, vc)]
+                if port.allocated[vc]:
+                    if holders != 1:
                         raise InvariantViolation(
                             "vc_states",
-                            f"{holders} ACTIVE input VCs hold an "
-                            f"unallocated downstream VC",
+                            f"allocated downstream VC held by "
+                            f"{holders} ACTIVE input VCs, expected "
+                            f"exactly one",
                             cycle=cycle,
                             node=node,
                             direction=direction,
                             vc=vc,
                         )
+                elif holders:
+                    raise InvariantViolation(
+                        "vc_states",
+                        f"{holders} ACTIVE input VCs hold an "
+                        f"unallocated downstream VC",
+                        cycle=cycle,
+                        node=node,
+                        direction=direction,
+                        vc=vc,
+                    )
 
     def _check_routing(self, sim: "Simulator", cycle: int) -> None:
         mesh = sim.mesh
         local = Direction.LOCAL
+        idle = VcState.IDLE
         for router in sim.routers:
             node = router.node
             for direction, vcs in router.input_vcs.items():
                 for ivc in vcs:
-                    head = ivc.front()
                     state = ivc.state
+                    if state is idle:
+                        continue
+                    head = ivc.front()
                     if state is VcState.ROUTING:
                         committed = ivc.committed_dir
                         if committed is not None and head is not None:
@@ -522,3 +591,135 @@ class InvariantChecker:
                 direction=in_direction,
                 vc=in_vc,
             )
+
+
+def router_clean(router, domain: frozenset) -> bool:
+    """The vc_states verdict: whether
+    :meth:`InvariantChecker._explain_vc_states` raises nothing for
+    ``router`` (exactly; ``domain`` is :func:`claim_domain`).
+
+    One pass over the router: empty IDLE VCs are checked inline, every
+    other VC by ``legality_violation``; each port's occupancy mask is
+    rebuilt and compared once; ROUTING VCs must match the pending
+    index, the router's three flit counters their recounts, every
+    output port its own consistency check, and the ACTIVE claims the
+    allocated downstream VCs one to one.
+    """
+    idle = VcState.IDLE
+    buffered = 0
+    routing_keys = []
+    claims = []
+    masks = router._occupied_masks
+    for direction, vcs in router.input_vcs.items():
+        rebuilt = 0
+        for ivc in vcs:
+            fifo = ivc.fifo
+            state = ivc.state
+            if (
+                not fifo
+                and state is idle
+                and ivc.out_direction is None
+                and ivc.out_vc is None
+                and ivc.committed_dir is None
+            ):
+                continue  # empty, IDLE, registers clear
+            if ivc.legality_violation() is not None:
+                return False
+            if fifo:
+                buffered += len(fifo)
+                rebuilt |= 1 << ivc.index
+            if state is VcState.ROUTING:
+                routing_keys.append((direction, ivc.index))
+            elif state is VcState.ACTIVE:
+                claims.append((ivc.out_direction, ivc.out_vc))
+        if (masks[direction] ^ rebuilt) & ((1 << len(vcs)) - 1):
+            return False
+    pending = router._pending
+    if (pending or routing_keys) and set(pending) != set(routing_keys):
+        return False
+    output_ports = router.output_ports
+    staged = 0
+    allocated = 0
+    fresh = False
+    for port in output_ports.values():
+        if port.consistency_violation() is not None:
+            return False
+        staged += len(port.fifo)
+        if port.fresh_released:
+            fresh = True
+        if any(port.allocated):
+            allocated += sum(map(truth, port.allocated))
+    if (
+        buffered != router.buffered_input_flits
+        or staged != router.staged_flits
+        or router.inflight != buffered + staged
+    ):
+        return False
+    if fresh and not (router.inflight or router.credit_pending):
+        return False
+    # The ACTIVE claims must be exactly the allocated downstream VCs,
+    # one claim each.
+    if len(claims) == allocated and len(set(claims)) == allocated:
+        for out_direction, out_vc in claims:
+            if (out_direction, out_vc) not in domain:
+                break
+            if not output_ports[out_direction].allocated[out_vc]:
+                break
+        else:
+            return True
+    # Claims outside the port/VC range are not counted against the
+    # bijection; settle the rare remaining cases exactly.
+    holders = Counter(claims)
+    for direction, port in output_ports.items():
+        for vc in range(port.num_vcs):
+            count = holders[(direction, vc)]
+            if (count != 1) if port.allocated[vc] else count:
+                return False
+    return True
+
+
+def claim_domain(router) -> frozenset:
+    """Every (output direction, VC) pair of ``router``: the claims the
+    allocated-VC <-> ACTIVE-input-VC bijection is checked over."""
+    return frozenset(
+        (direction, vc)
+        for direction, port in router.output_ports.items()
+        for vc in range(port.num_vcs)
+    )
+
+
+class _Geometry:
+    """Static tables the sweeps walk, built once per simulator.
+
+    ``links`` pairs every output port with what sits downstream of it,
+    looked up through ``mesh.neighbor`` (independent of the engine's own
+    link table): ``((node, direction), port, sink, (neighbour, input
+    direction), neighbour input VCs)``, with ``sink`` set only on the
+    ejection port.  ``claim_domains`` holds each router's
+    :func:`claim_domain`.
+    """
+
+    def __init__(self, sim: "Simulator") -> None:
+        mesh = sim.mesh
+        self.links: list[tuple] = []
+        for router in sim.routers:
+            node = router.node
+            for direction, port in router.output_ports.items():
+                key = (node, direction)
+                if direction is Direction.LOCAL:
+                    self.links.append(
+                        (key, port, sim.sinks[node], None, None)
+                    )
+                    continue
+                nbr = mesh.neighbor(node, direction)
+                in_dir = OPPOSITE[direction]
+                self.links.append(
+                    (
+                        key,
+                        port,
+                        None,
+                        (nbr, in_dir),
+                        sim.routers[nbr].input_vcs[in_dir],
+                    )
+                )
+        self.claim_domains = [claim_domain(r) for r in sim.routers]

@@ -73,9 +73,10 @@ class Mutator:
             return None
         node, direction, port, vc = self._pick(candidates)
         port.credits[vc] -= 1
-        if vc != port.escape_vc:
-            # Keep the port-internal adaptive-credit cache coherent so
-            # only the *link-level* accounting checker can catch this.
+        if vc in port.adaptive_vcs():
+            # Keep the port-internal adaptive-credit cache coherent (a
+            # torus port has two escape VCs) so only the *link-level*
+            # accounting checker can catch this.
             port._adaptive_credits -= 1
         return f"dropped one credit on node {node} {direction.name} VC {vc}"
 

@@ -82,6 +82,10 @@ def test_quick_bench_writes_report(run_bench, tmp_path):
     assert parallel["results_identical"] is True
     assert parallel["pool_results_identical"] is True
     assert parallel["tasks"] == len(run_bench.QUICK_PARALLEL_SEEDS)
+    assert len(parallel["serial_runs"]) == run_bench.PARALLEL_REPS
+    assert len(parallel["parallel_runs"]) == run_bench.PARALLEL_REPS
+    low, high = parallel["speedup_spread"]
+    assert 0 < low <= high
     assert parallel["cpu_count"] >= 1
     # Equal-cost tasks: the pool's ideal is the task count over the
     # largest batch's.

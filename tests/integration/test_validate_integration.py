@@ -19,11 +19,13 @@ from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
 from repro.validate import MUTATION_CHECKERS, VALIDATE_ENV, ValidationConfig
 from repro.validate.differential import (
+    _self_test_config,
     random_configs,
     result_signature,
     run_differential,
     self_test,
 )
+from repro.validate.mutations import Mutator
 
 MODES = ("skip", "fast", "legacy")
 
@@ -96,6 +98,9 @@ class TestObservationOnly:
         assert Simulator(_base_config(), validation=inactive).validator is None
 
 
+TORUS_SELF_TEST = _self_test_config(1).with_(topology="torus")
+
+
 class TestMutationSelfTest:
     def test_every_mutation_is_caught(self):
         outcomes = self_test(seed=0)
@@ -104,6 +109,37 @@ class TestMutationSelfTest:
         )
         missed = [o.mutation for o in outcomes if not o.ok]
         assert not missed, f"mutations not caught: {missed}"
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATION_CHECKERS))
+    def test_every_mutation_is_caught_on_a_torus(self, mutation):
+        # The self-test's scenario on a torus, whose ports carry two
+        # escape VCs (dateline classes).
+        checker = MUTATION_CHECKERS[mutation]
+        validation = ValidationConfig.only(
+            checker, mutate=mutation, mutate_cycle=30
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            Simulator(TORUS_SELF_TEST, validation=validation).run()
+        assert excinfo.value.checker == checker
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_torus_credit_mutation_keeps_port_caches(self, seed):
+        # A torus port has two escape VCs; dropping a credit on either
+        # must leave the port's own adaptive-credit total coherent, so
+        # only the link-level credit ledger sees the loss.
+        sim = Simulator(
+            TORUS_SELF_TEST,
+            validation=ValidationConfig.only("credit_accounting"),
+        )
+        for _ in range(30):
+            sim.step()
+        assert Mutator("credit", 0, seed).maybe_apply(sim, sim.cycle)
+        for router in sim.routers:
+            for port in router.output_ports.values():
+                assert port.consistency_violation() is None
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.validator.run_checks(sim, sim.cycle)
+        assert excinfo.value.checker == "credit_accounting"
 
     def test_direct_mutation_kill_carries_context(self):
         validation = ValidationConfig.only(
