@@ -41,7 +41,7 @@ def test_router_allocation_rate(benchmark):
     from repro.router.flit import Packet
     from repro.router.output import OutputPort
     from repro.router.vcstate import InputVc
-    from repro.routing.requests import Priority, VcRequest
+    from repro.routing.requests import Priority, RequestTier
     from repro.topology.ports import Direction
 
     outputs = {
@@ -54,10 +54,8 @@ def test_router_allocation_rate(benchmark):
         ivc = InputVc(Direction.WEST, i, 4)
         ivc.push(Packet(src=0, dst=9, size=1, creation_time=0).flits()[0])
         ivc.refresh_state()
-        reqs = [
-            VcRequest(Direction.EAST, v, Priority.LOW) for v in range(1, 10)
-        ]
-        inputs.append((ivc, reqs))
+        tier = RequestTier(Direction.EAST, Priority.LOW, list(range(1, 10)))
+        inputs.append((ivc, tier))
     rng = random.Random(1)
 
     def allocate():

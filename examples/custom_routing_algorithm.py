@@ -4,7 +4,9 @@
 The routing interface has two stages (mirroring a hardware router
 pipeline): ``select_output`` commits to an output port once per packet per
 router, and ``vc_requests_at`` re-issues VC requests each cycle until the
-packet wins a VC.  This example implements "O1TURN-lite" — a minimal
+packet wins a VC.  It returns the packet's top-priority request tier —
+every grantable VC it would take at the best priority it has — or
+nothing.  This example implements "O1TURN-lite" — a minimal
 oblivious algorithm that randomly picks XY or YX order per packet at the
 source and then follows it — and races it against DOR and Footprint on
 transpose traffic.
@@ -14,7 +16,7 @@ Run:  python examples/custom_routing_algorithm.py
 
 from repro import SimulationConfig, Simulator
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 import repro.routing.registry as registry
@@ -52,19 +54,18 @@ class O1TurnLite(RoutingAlgorithm):
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> list[RequestTier]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
+        if (ctx.dead_ports >> direction) & 1:
+            return []
         # Split the VC pool by routing order to keep the two orders'
         # channel dependencies disjoint (O1TURN's deadlock-freedom trick).
         view = ctx.outputs[direction]
         half = ctx.num_vcs // 2
         use_low_half = self._order_is_xy(ctx)
-        return [
-            VcRequest(direction, v, Priority.LOW)
-            for v in view.idle_vcs()
-            if (v < half) == use_low_half
-        ]
+        vcs = [v for v in view.idle_vcs() if (v < half) == use_low_half]
+        return [RequestTier(direction, Priority.LOW, vcs)] if vcs else []
 
     def allowed_directions(
         self, mesh: Mesh2D, current: int, destination: int, source: int

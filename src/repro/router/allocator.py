@@ -3,34 +3,36 @@
 The paper's router uses a priority-based VC allocator (Table 2): routing
 produces VC requests tagged with the Algorithm-1 priorities, and the
 allocator grants each *free* downstream VC to its highest-priority
-requester.  Requests targeting busy VCs simply do not match this cycle —
-they are the "wait on footprint channel" requests and are recomputed every
-cycle until the VC frees.
+requester.
+
+Routing never requests a busy VC (requests are recomputed every cycle,
+so a busy-VC request could not match; see :mod:`repro.routing.requests`)
+and hands over only each packet's top-priority
+:class:`~repro.routing.requests.RequestTier`, the set a full input stage
+would choose from.
 
 The allocator is separable, input-first:
 
-1. every requesting input VC picks its best *grantable* request — highest
-   priority first, random tie-break (so competing inputs don't all pile
-   onto the same VC, which the paper notes Footprint's prioritization
-   already de-correlates);
+1. every requesting input VC picks one VC of its tier — random
+   tie-break (so competing inputs don't all pile onto the same VC, which
+   the paper notes Footprint's prioritization already de-correlates);
 2. every downstream VC picks the highest-priority input VC that selected
-   it, with round-robin fairness among equals.
+   it, with random tie-break among equals.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import InvariantViolation
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc, VcState
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.ports import Direction
 
 
-@dataclass
-class VaGrant:
+class VaGrant(NamedTuple):
     """One VC-allocation grant produced by :func:`allocate_vcs`."""
 
     input_vc: InputVc
@@ -40,7 +42,7 @@ class VaGrant:
 
 
 def allocate_vcs(
-    requests: list[tuple[InputVc, list[VcRequest]]],
+    requests: list[tuple[InputVc, RequestTier]],
     outputs: dict[Direction, OutputPort],
     rng: random.Random,
 ) -> list[VaGrant]:
@@ -49,8 +51,8 @@ def allocate_vcs(
     Parameters
     ----------
     requests:
-        ``(input_vc, its VC requests)`` pairs for every input VC in the
-        ROUTING state this cycle.
+        ``(input_vc, its request tier)`` pairs for every input VC in the
+        ROUTING state this cycle that has a tier.
     outputs:
         The router's output ports, providing ``grantable`` state.
     rng:
@@ -60,28 +62,27 @@ def allocate_vcs(
     -------
     Grants; the caller applies them to input VCs and output ports.
     """
-    # Stage 1: each input VC selects its single best grantable request.
-    # Single pass per input VC: track the best priority seen so far and
-    # the requests tied at it, in request order — identical selections
-    # and identical rng consumption to the filter-then-max formulation.
+    # Stage 1: each input VC draws one VC of its tier.  Only the drawn VC
+    # is checked: routing emits grantable VCs only, so the check never
+    # fails for tiers the router builds, and one draw over the tier
+    # consumes the rng exactly as a draw over the filtered tier would.
+    # A tier holding busy VCs is filtered and drawn again, so a busy VC
+    # is never granted.
     selections: dict[tuple[Direction, int], list[tuple[Priority, InputVc]]] = {}
-    for input_vc, reqs in requests:
-        best_priority: Priority | None = None
-        best: list[VcRequest] = []
-        for r in reqs:
-            if not outputs[r.direction].grantable(r.vc):
+    for input_vc, (direction, priority, vcs) in requests:
+        vc = vcs[0] if len(vcs) == 1 else vcs[rng.randrange(len(vcs))]
+        port = outputs[direction]
+        if not port.grantable(vc):
+            vcs = [v for v in vcs if port.grantable(v)]
+            if not vcs:
                 continue
-            if best_priority is None or r.priority > best_priority:
-                best_priority = r.priority
-                best = [r]
-            elif r.priority == best_priority:
-                best.append(r)
-        if best_priority is None:
-            continue
-        choice = best[0] if len(best) == 1 else best[rng.randrange(len(best))]
-        selections.setdefault((choice.direction, choice.vc), []).append(
-            (choice.priority, input_vc)
-        )
+            vc = vcs[0] if len(vcs) == 1 else vcs[rng.randrange(len(vcs))]
+        key = (direction, vc)
+        contenders = selections.get(key)
+        if contenders is None:
+            selections[key] = [(priority, input_vc)]
+        else:
+            contenders.append((priority, input_vc))
 
     # Stage 2: each downstream VC grants its best selecting input.
     grants: list[VaGrant] = []

@@ -79,10 +79,6 @@ class OutputPort:
         self._busy_count = 0
         self._fp_index: dict[int, list[int]] = {}
         self._adaptive_credits = downstream_depth * len(self._adaptive)
-        #: Bumped whenever VC grantability or ownership changes; routing
-        #: decisions are cached against it (credits do not affect which
-        #: VCs are grantable, so credit flow leaves it unchanged).
-        self.version = 0
         #: VCs released since the last VC-allocation round.  A freed VC
         #: keeps its last owner, and during the allocation round right
         #: after its release a same-destination packet may reclaim it at
@@ -176,8 +172,6 @@ class OutputPort:
         """Forget this round's releases (called after each VA round)."""
         if self.fresh_released:
             self.fresh_released.clear()
-            # Requests computed against the fresh set are now stale.
-            self.version += 1
 
     def busy_vcs(self) -> list[int]:
         """All busy adaptive VCs regardless of owner."""
@@ -206,7 +200,6 @@ class OutputPort:
             )
         self.allocated[vc] = True
         self.owner_dst[vc] = dst
-        self.version += 1
         self.fresh_released.discard(vc)
         if vc != self.escape_vc and vc != self.escape_vc2:
             self._idle_cache = None
@@ -217,7 +210,6 @@ class OutputPort:
         dst = self.owner_dst[vc]
         self.allocated[vc] = False
         self._draining[vc] = False
-        self.version += 1
         # The owner is deliberately left stale until the next allocation
         # and the VC is marked freshly released; see fresh_footprint_vcs().
         self.fresh_released.add(vc)

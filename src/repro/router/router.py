@@ -6,10 +6,10 @@ Per-cycle pipeline (invoked in this order by the engine):
    staging FIFO onto the link; the engine delivers it to the downstream
    router (or endpoint sink) at the start of the next cycle.
 2. **Route computation + VC allocation (RC/VA)** — every input VC in the
-   ROUTING state recomputes its VC requests through the configured routing
-   algorithm (Footprint's congestion view is dynamic, so requests are fresh
-   every cycle), then the priority-based VC allocator grants free
-   downstream VCs.
+   ROUTING state recomputes its top-priority VC request tier through the
+   configured routing algorithm (Footprint's congestion view is dynamic,
+   so requests are fresh every cycle), then the priority-based VC
+   allocator grants free downstream VCs.
 3. **Switch allocation + switch traversal (SA/ST)** — each input port
    forwards at most one flit per cycle; each output port accepts up to
    ``internal_speedup`` flits into its staging FIFO, subject to downstream
@@ -35,7 +35,7 @@ from repro.router.flit import Flit
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc, VcState
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import VcRequest
+from repro.routing.requests import RequestTier
 from repro.sim.config import SimulationConfig
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
@@ -177,11 +177,9 @@ class Router:
         self.validator = None
         # Fault awareness: bitmask of output directions whose link (or
         # downstream router) is currently dead, mirrored into the route
-        # context so algorithms can steer around it.  The epoch counter
-        # folds into the per-cycle state version so cached VC requests
-        # are invalidated whenever the mask changes.
+        # context so algorithms can steer around it (and drop requests
+        # toward it).
         self.fault_blocked = 0
-        self._fault_epoch = 0
 
     # ------------------------------------------------------------------
     # Engine-facing state changes
@@ -221,7 +219,6 @@ class Router:
         if mask == self.fault_blocked:
             return
         self.fault_blocked = mask
-        self._fault_epoch += 1
         self._ctx.dead_ports = mask
         if mask:
             for ivc in self._pending.values():
@@ -256,48 +253,41 @@ class Router:
         return sent
 
     def route_and_allocate(self) -> None:
-        """Recompute routes for waiting packets and run VC allocation."""
-        # Router-wide state version: any change in VC grantability or
-        # ownership at any output port invalidates cached VC requests.
-        # Computed before the early-outs so freshly-freed-VC information
-        # is always consumed by exactly one allocation round.
+        """Recompute routes for waiting packets and run VC allocation.
+
+        Two phases, in this order: every waiting packet's route
+        computation (their ``select_output`` tie-break draws), then the
+        allocator's draws.  ``routing.vc_requests_at`` and the
+        module-level ``allocate_vcs`` are looked up on every call, so
+        instrumentation that wraps either sees every call.
+        """
         ports_list = self._ports_list
-        # Seeding with the fault epoch (also monotone) invalidates cached
-        # requests whenever the dead-port mask changes.
-        state_version = self._fault_epoch
         for port in ports_list:
             port.new_cycle()
-            state_version += port.version
 
         if self.inflight == 0 or not self._pending:
             for port in ports_list:
                 port.clear_fresh()
             return
 
-        requests: list[tuple[InputVc, list[VcRequest]]] = []
+        routing = self.routing
+        ctx = self._ctx
+        requests: list[tuple[InputVc, RequestTier]] = []
         for ivc in self._pending.values():
-            if ivc.route_cache_key == state_version:
-                reqs = ivc.route_cache
-            else:
-                head = ivc.front()
-                assert head is not None and head.is_head
-                ctx = self._context(ivc, head)
-                if ivc.committed_dir is None:
-                    # Route computation: runs once per packet per router;
-                    # the port choice is a commitment (BookSim RC stage).
-                    ivc.committed_dir = self.routing.select_output(ctx)
-                reqs = self.routing.vc_requests_at(ctx, ivc.committed_dir)
-                blocked = self.fault_blocked
-                if blocked:
-                    # No VC grants toward dead ports — covers escape
-                    # requests whose DOR port happens to be dead, too.
-                    reqs = [
-                        r for r in reqs if not (blocked >> r.direction) & 1
-                    ]
-                ivc.route_cache = reqs
-                ivc.route_cache_key = state_version
-            if reqs:
-                requests.append((ivc, reqs))
+            head = ivc.front()
+            assert head is not None and head.is_head
+            ctx.destination = head.dst
+            ctx.source = head.src
+            ctx.input_direction = ivc.direction
+            if ivc.committed_dir is None:
+                # Route computation: runs once per packet per router;
+                # the port choice is a commitment (BookSim RC stage).
+                ivc.committed_dir = routing.select_output(ctx)
+            # The tier already excludes dead ports (ctx.dead_ports),
+            # escape requests whose DOR port is dead included.
+            tiers = routing.vc_requests_at(ctx, ivc.committed_dir)
+            if tiers:
+                requests.append((ivc, tiers[0]))
 
         if requests:
             grants = allocate_vcs(requests, self.output_ports, self.rng)
@@ -345,13 +335,6 @@ class Router:
         """
         for port in self._ports_list:
             port.clear_fresh()
-
-    def _context(self, ivc: InputVc, head: Flit) -> RouteContext:
-        ctx = self._ctx
-        ctx.destination = head.dst
-        ctx.source = head.src
-        ctx.input_direction = ivc.direction
-        return ctx
 
     def _sample_blocked(self) -> None:
         """Sample busy/footprint VC mix for packets that failed allocation.

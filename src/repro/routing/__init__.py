@@ -1,7 +1,7 @@
 """Routing algorithms: DOR, Odd-Even, DBAR, Footprint, and XORDET overlays."""
 
 from repro.routing.base import OutputPortView, RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.routing.registry import available_algorithms, create_routing
 
 __all__ = [
@@ -9,7 +9,7 @@ __all__ = [
     "RouteContext",
     "RoutingAlgorithm",
     "Priority",
-    "VcRequest",
+    "RequestTier",
     "available_algorithms",
     "create_routing",
 ]

@@ -12,8 +12,10 @@ The interface mirrors a BookSim-style router pipeline:
 * :meth:`RoutingAlgorithm.vc_requests_at` is the *VC allocation* request
   generation — re-evaluated **every cycle** until the packet wins a VC,
   because the VC states it prioritizes (idle/footprint/busy) change as the
-  network moves.  It returns :class:`VcRequest` records, the paper's
-  ``ADD(P, v, pri)`` calls.
+  network moves.  It returns the packet's top-priority
+  :class:`~repro.routing.requests.RequestTier` — the one
+  ``ADD(P, VCs, pri)`` of Algorithm 1 the allocator can pick from this
+  cycle — or nothing.
 
 The context exposes per-output-port state through
 :class:`OutputPortView`: which downstream VCs are idle, which are
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -172,8 +174,17 @@ class RoutingAlgorithm(abc.ABC):
     @abc.abstractmethod
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
-        """Per-cycle VC requests given the committed ``direction``."""
+    ) -> list[RequestTier]:
+        """Per-cycle VC request tier given the committed ``direction``.
+
+        Returns ``[tier]`` or ``[]``.  The tier is the highest priority
+        at which the packet has a grantable request, with every grantable
+        VC at that priority in emission order, after requests toward
+        ``ctx.dead_ports`` are dropped (the
+        :class:`~repro.routing.requests.RequestTier` contract).  Lower
+        priorities are never computed: the allocator could not pick
+        them.
+        """
 
     @abc.abstractmethod
     def allowed_directions(
@@ -184,8 +195,8 @@ class RoutingAlgorithm(abc.ABC):
         Returns ``[LOCAL]`` when ``current == destination``.
         """
 
-    def route(self, ctx: RouteContext) -> list[VcRequest]:
-        """Select a port and produce its requests in one call.
+    def route(self, ctx: RouteContext) -> list[RequestTier]:
+        """Select a port and produce its request tier in one call.
 
         Convenience composition used by tests and analyses; the simulator
         itself calls the two stages separately so the port commitment can
@@ -209,11 +220,13 @@ class RoutingAlgorithm(abc.ABC):
         ``d``, or ``-1`` for no request.
 
         Enumerating a row's requests in (priority descending, VC
-        ascending) order with the escape request last reproduces the
-        scalar request-list order exactly: every scalar implementation
-        emits same-priority requests for a single direction in ascending
-        VC order, and the escape request is always the lone LOWEST entry.
-        The scalar ``vc_requests_at`` is the oracle
+        ascending) order with the escape request last reproduces
+        Algorithm 1's full request list exactly: every scalar
+        implementation emits same-priority requests for a single
+        direction in ascending VC order, and the escape request is always
+        the lone LOWEST entry.  The row's best run is the scalar
+        :meth:`vc_requests_at` tier.  The list-form request oracle in
+        ``tests/request_oracle.py`` checks both
         (``tests/property/test_prop_candidate_mask.py``).
 
         Assembled generically from :meth:`candidate_pri` — subclasses
@@ -320,26 +333,29 @@ class RoutingAlgorithm(abc.ABC):
         live = [d for d in candidates if not (mask >> d) & 1]
         return live or candidates
 
-    def eject_requests(self, ctx: RouteContext) -> list[VcRequest]:
-        """Requests for delivery at the destination (LOCAL port).
+    def eject_requests(self, ctx: RouteContext) -> list[RequestTier]:
+        """Request tier for delivery at the destination (LOCAL port).
 
-        Any free ejection VC is claimed at LOW priority.  Requests are
-        only emitted for currently grantable VCs: a request on a busy VC
-        can never be granted under per-cycle recomputation, so omitting it
-        is behaviourally identical and much cheaper (see
+        Any free ejection VC is claimed at LOW priority.  Only currently
+        grantable VCs are requested: a request on a busy VC can never be
+        granted under per-cycle recomputation (see
         :mod:`repro.routing.requests`).
         """
-        view = ctx.outputs[Direction.LOCAL]
-        return [
-            VcRequest(Direction.LOCAL, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        if (ctx.dead_ports >> Direction.LOCAL) & 1:
+            return []
+        idle = ctx.outputs[Direction.LOCAL].idle_vcs()
+        if not idle:
+            return []
+        return [RequestTier(Direction.LOCAL, Priority.LOW, idle)]
 
-    def escape_request(self, ctx: RouteContext) -> list[VcRequest]:
+    def escape_request(self, ctx: RouteContext) -> list[RequestTier]:
         """The always-present lowest-priority escape request (line 45).
 
-        Emitted only when the escape VC is currently grantable — a busy
-        escape VC cannot be granted this cycle, and the request reappears
-        on the cycle it frees.
+        Emitted only when the escape VC is currently grantable and its
+        port is alive — a busy escape VC cannot be granted this cycle,
+        and the request reappears on the cycle it frees.  Callers ask for
+        it only when the packet has no adaptive tier: any adaptive
+        request outranks LOWEST.
 
         On single-class topologies (mesh) the escape subnetwork is
         dimension-order routing on VC0.  On a torus there is one escape
@@ -349,6 +365,8 @@ class RoutingAlgorithm(abc.ABC):
         across the wrap links.
         """
         escape_dir = ctx.mesh.dor_direction(ctx.current, ctx.destination)
+        if (ctx.dead_ports >> escape_dir) & 1:
+            return []
         view = ctx.outputs[escape_dir]
         if ctx.mesh.num_vc_classes > 1:
             evcs = view.escape_vcs
@@ -361,7 +379,7 @@ class RoutingAlgorithm(abc.ABC):
             vc = view.escape_vc
         if vc is None or not view.grantable(vc):
             return []
-        return [VcRequest(escape_dir, vc, Priority.LOWEST)]
+        return [RequestTier(escape_dir, Priority.LOWEST, (vc,))]
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """Dateline class ``vc`` belongs to on a multi-class topology.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.routing.base import RouteContext
 from repro.routing.duato import DuatoAdaptiveRouting
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.ports import Direction
 
 
@@ -50,14 +50,12 @@ class DbarRouting(DuatoAdaptiveRouting):
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]
 
-    def vc_requests(
+    def adaptive_tier(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
-        view = ctx.outputs[direction]
+    ) -> RequestTier | None:
         # Oblivious VC selection: any free adaptive VC, flat priority.
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        idle = ctx.outputs[direction].idle_vcs()
+        return RequestTier(direction, Priority.LOW, idle) if idle else None
 
 
 class DbarFineRouting(DbarRouting):

@@ -18,7 +18,7 @@ unchanged.
 from __future__ import annotations
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -35,10 +35,14 @@ class DorRouting(RoutingAlgorithm):
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> list[RequestTier]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        view = ctx.outputs[direction]
+        if (ctx.dead_ports >> direction) & 1:
+            return []
+        # Any free VC at equal priority; busy VCs are re-requested (i.e.
+        # become requestable) on the cycle they free.
+        idle = ctx.outputs[direction].idle_vcs()
         if ctx.mesh.num_vc_classes > 1:
             # Torus dateline: only the VCs of this hop's wrap class are
             # requestable, keeping each ring's dependency graph acyclic.
@@ -47,16 +51,10 @@ class DorRouting(RoutingAlgorithm):
             )
             half = ctx.num_vcs // 2
             lo, hi = (0, half) if cls == 0 else (half, ctx.num_vcs)
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.idle_vcs()
-                if lo <= v < hi
-            ]
-        # Any free VC at equal priority; busy VCs are re-requested (i.e.
-        # become requestable) on the cycle they free.
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+            idle = [v for v in idle if lo <= v < hi]
+        if not idle:
+            return []
+        return [RequestTier(direction, Priority.LOW, idle)]
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """The dateline half ``vc`` belongs to (0 = pre-wrap, 1 = post)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import VcRequest
+from repro.routing.requests import RequestTier
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -45,14 +45,16 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> list[RequestTier]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        requests = self.vc_requests(ctx, direction)
+        tier = self.adaptive_tier(ctx, direction)
+        if tier is not None and not (ctx.dead_ports >> direction) & 1:
+            return [tier]
         # The escape request is always present (Algorithm 1 line 45), on
-        # the DOR port regardless of the committed adaptive port.
-        requests.extend(self.escape_request(ctx))
-        return requests
+        # the DOR port regardless of the committed adaptive port; it
+        # tops the list only when no adaptive request survives.
+        return self.escape_request(ctx)
 
     @abc.abstractmethod
     def select_port(
@@ -61,10 +63,11 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
         """Choose among the (two) minimal candidate ports."""
 
     @abc.abstractmethod
-    def vc_requests(
+    def adaptive_tier(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
-        """Adaptive-VC requests at the selected port."""
+    ) -> RequestTier | None:
+        """Top-priority adaptive-VC requests at the selected port, or
+        ``None`` when the algorithm requests no adaptive VC there."""
 
     def allowed_directions(
         self, mesh: Topology, current: int, destination: int, source: int

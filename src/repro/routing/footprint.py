@@ -10,18 +10,26 @@ being routed.  The algorithm has three steps:
 2. **Port selection** — more idle VCs wins; ties broken by more footprint
    VCs; remaining ties broken randomly (Algorithm 1 lines 10-20).
 3. **VC requests** — three regimes by congestion level at the chosen port
-   (lines 28-43), using the threshold ``size(VC)/2``:
+   (lines 28-43), using the threshold ``size(VC)/2``.  Each regime's full
+   ``ADD`` set, with the tier the allocator picks from (the highest
+   priority that has a grantable VC), which is all routing emits:
 
-   * not congested (``idle >= threshold``): request all adaptive VCs at LOW
-     priority — maximize buffer utilization;
-   * saturated (``idle == 0``): request only footprint VCs at HIGH priority
-     if any exist (the packet *waits on the footprint channel*), otherwise
-     all adaptive VCs at LOW;
+   * not congested (``idle >= threshold``): all idle adaptive VCs at LOW
+     — maximize buffer utilization.  Tier: that LOW set;
+   * saturated (``idle == 0``): only footprint VCs at HIGH if any exist
+     (the packet *waits on the footprint channel*), otherwise all
+     adaptive VCs at LOW.  Tier: the freshly freed footprint VCs at
+     HIGH; else nothing while a footprint is busy; else other flows'
+     freshly freed VCs at LOW;
    * in between: idle VCs at HIGHEST, footprint VCs at HIGH, other busy
-     VCs at LOW.
+     VCs at LOW.  Tier: the idle VCs at HIGHEST, never empty in this
+     regime, so the HIGH and LOW requests can never be picked.
 
    The escape VC on the DOR port is always requested at LOWEST priority
-   (line 45), which preserves Duato deadlock freedom.
+   (line 45), which preserves Duato deadlock freedom.  It is the tier
+   only when no adaptive request survives (none emitted, or the
+   committed port is dead), and it is suppressed while the packet waits
+   on a footprint.
 
 Emulation note (see :mod:`repro.routing.requests`): this simulator's VC
 allocator recomputes requests from current state every cycle rather than
@@ -46,14 +54,17 @@ allocator's held requests were computed from:
 The optional ``footprint_vc_limit`` implements the paper's §4.2.5
 future-work knob: once a destination already owns that many footprint VCs
 at a port, the packet stops claiming *new* idle VCs there and waits on its
-footprint, bounding the congestion-tree branch thickness explicitly.
+footprint, bounding the congestion-tree branch thickness explicitly.  Its
+``ADD`` set is the freshly freed footprint VCs at HIGH, which is also the
+tier; with none while a footprint is busy, the packet waits without an
+escape request.
 """
 
 from __future__ import annotations
 
 from repro.routing.base import RouteContext
 from repro.routing.duato import DuatoAdaptiveRouting
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.ports import Direction
 
 _FP_PRI_TABLE = None
@@ -96,9 +107,11 @@ class FootprintRouting(DuatoAdaptiveRouting):
 
     name = "footprint"
 
-    def vc_requests_at(self, ctx: RouteContext, direction: Direction):
-        """Adaptive requests plus the escape request — except while the
-        packet is *waiting on a live footprint channel*.
+    def vc_requests_at(
+        self, ctx: RouteContext, direction: Direction
+    ) -> list[RequestTier]:
+        """The top adaptive tier, else the escape request — except while
+        the packet is *waiting on a live footprint channel*.
 
         The paper's deadlock argument (§3.4) observes that a packet
         blocked behind footprint VCs depends, through a chain of
@@ -109,27 +122,32 @@ class FootprintRouting(DuatoAdaptiveRouting):
         packets leak onto the DOR-routed escape VCs and rebuild exactly
         the thick, deterministic congestion tree (Fig. 2(a)) that
         Footprint sets out to avoid.
+
+        Waiting is judged on the adaptive requests before dead ports are
+        dropped: a packet with adaptive requests at a dead committed port
+        is not waiting, and falls back to its escape request.
         """
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        requests = self.vc_requests(ctx, direction)
-        waiting_on_footprint = not requests and bool(
-            ctx.outputs[direction].footprint_vcs(ctx.destination)
-        )
-        if not waiting_on_footprint:
-            requests.extend(self.escape_request(ctx))
-        return requests
+        tier = self.adaptive_tier(ctx, direction)
+        if tier is not None:
+            if not (ctx.dead_ports >> direction) & 1:
+                return [tier]
+        elif ctx.outputs[direction].footprint_vcs(ctx.destination):
+            return []
+        return self.escape_request(ctx)
 
     def candidate_pri(self, state, current, destination, committed):
         """Batched Algorithm 1 as boolean mask algebra.
 
-        Reproduces :meth:`vc_requests` regime by regime — footprint VCs
-        are ``busy & adaptive & (owner == destination)``, the established
-        idle set is ``idle & ~fresh`` — plus the escape suppression of
-        :meth:`vc_requests_at` (no escape request while the packet waits
-        on a live footprint channel).  Scalar oracle-checked through the
-        :meth:`candidate_mask` assembly by the candidate-mask property
-        tests.
+        Reproduces Algorithm 1's full request list regime by regime —
+        footprint VCs are ``busy & adaptive & (owner == destination)``,
+        the established idle set is ``idle & ~fresh`` — plus the escape
+        suppression of :meth:`vc_requests_at` (no escape request while
+        the packet waits on a live footprint channel).  Checked against
+        the list-form request oracle, and its best run against
+        :meth:`vc_requests_at`, through the :meth:`candidate_mask`
+        assembly by the candidate-mask property tests.
         """
         import numpy as np
 
@@ -232,68 +250,58 @@ class FootprintRouting(DuatoAdaptiveRouting):
     # ------------------------------------------------------------------
     # Step 3: VC requests by congestion regime
     # ------------------------------------------------------------------
-    def vc_requests(
+    def adaptive_tier(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> RequestTier | None:
+        """The winning tier of the regime's ``ADD`` set (module docstring).
+
+        Every regime's full set is listed beside the tier it yields; only
+        the tier is built, since the allocator picks from nothing else.
+        """
         view = ctx.outputs[direction]
         dst = ctx.destination
-        established = view.established_idle_vcs()
-        fresh_mine = view.fresh_footprint_vcs(dst)
 
         if ctx.footprint_vc_limit is not None and (
             len(view.footprint_vcs(dst)) >= ctx.footprint_vc_limit
         ):
             # §4.2.5 extension: the destination already owns its VC quota
             # at this port — only re-claim freed footprint VCs, never new
-            # ones.
-            return [
-                VcRequest(direction, v, Priority.HIGH) for v in fresh_mine
-            ]
+            # ones.  ADD set: {fresh footprint @ HIGH}.
+            fresh_mine = view.fresh_footprint_vcs(dst)
+            if fresh_mine:
+                return RequestTier(direction, Priority.HIGH, fresh_mine)
+            return None
 
+        established = view.established_idle_vcs()
         if len(established) >= ctx.congestion_threshold:
             # No congestion: use all adaptive VCs at flat priority;
             # waiting on footprint channels here would only add latency
-            # (Algorithm 1 line 31).
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.idle_vcs()
-            ]
+            # (Algorithm 1 line 31).  ADD set: {idle @ LOW}.
+            idle = view.idle_vcs()
+            return RequestTier(direction, Priority.LOW, idle) if idle else None
 
-        if not established:
-            # Saturated regime (line 32: size(VC_idle) == 0 when the held
-            # requests were computed).
-            if fresh_mine:
-                # The packet's footprint VC just freed: re-claim it at
-                # HIGH (line 34's held request winning the instant the VC
-                # frees).
-                return [
-                    VcRequest(direction, v, Priority.HIGH)
-                    for v in fresh_mine
-                ]
-            if view.footprint_vcs(dst):
-                # A footprint exists and is still busy: wait on it and do
-                # NOT grab other flows' freed VCs — this is the regulation
-                # that keeps the congestion-tree branch thin.
-                return []
-            # No footprint anywhere: full adaptivity (line 37) — freed
-            # VCs of other flows are fair game at LOW.
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.fresh_other_vcs(dst)
-            ]
+        if established:
+            # Intermediate regime (lines 40-42).  ADD set: {established
+            # idle @ HIGHEST, fresh footprint @ HIGH, other flows' fresh
+            # VCs @ LOW (the held busy-VC requests)}; the non-empty
+            # HIGHEST tier always wins.
+            return RequestTier(direction, Priority.HIGHEST, established)
 
-        # Intermediate regime (lines 40-42): established idle VCs at
-        # HIGHEST, the packet's freshly freed footprint VCs at HIGH, and
-        # other flows' freshly freed VCs at LOW (the held busy-VC
-        # requests).
-        requests = [
-            VcRequest(direction, v, Priority.HIGHEST) for v in established
-        ]
-        requests.extend(
-            VcRequest(direction, v, Priority.HIGH) for v in fresh_mine
-        )
-        requests.extend(
-            VcRequest(direction, v, Priority.LOW)
-            for v in view.fresh_other_vcs(dst)
-        )
-        return requests
+        # Saturated regime (line 32: size(VC_idle) == 0 when the held
+        # requests were computed).  ADD set: one of the three below.
+        fresh_mine = view.fresh_footprint_vcs(dst)
+        if fresh_mine:
+            # The packet's footprint VC just freed: re-claim it at HIGH
+            # (line 34's held request winning the instant the VC frees).
+            return RequestTier(direction, Priority.HIGH, fresh_mine)
+        if view.footprint_vcs(dst):
+            # A footprint exists and is still busy: wait on it and do NOT
+            # grab other flows' freed VCs — this is the regulation that
+            # keeps the congestion-tree branch thin.
+            return None
+        # No footprint anywhere: full adaptivity (line 37) — freed VCs of
+        # other flows are fair game at LOW.
+        fresh_other = view.fresh_other_vcs(dst)
+        if fresh_other:
+            return RequestTier(direction, Priority.LOW, fresh_other)
+        return None

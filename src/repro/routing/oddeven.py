@@ -27,7 +27,7 @@ parity when ``k`` is even).  The algorithm therefore declares
 from __future__ import annotations
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -52,13 +52,13 @@ class OddEvenRouting(RoutingAlgorithm):
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> list[RequestTier]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        view = ctx.outputs[direction]
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        idle = ctx.outputs[direction].idle_vcs()
+        if not idle or (ctx.dead_ports >> direction) & 1:
+            return []
+        return [RequestTier(direction, Priority.LOW, idle)]
 
     def _select_port(
         self, ctx: RouteContext, candidates: list[Direction]

@@ -1,18 +1,25 @@
 """Virtual-channel request records produced by routing algorithms.
 
 Algorithm 1 of the paper expresses routing decisions as
-``ADD(P, v, priority)`` calls: the packet requests VC ``v`` at output port
-``P`` with a given priority.  The VC allocator then grants free VCs to the
-highest-priority requesters.  Requests targeting busy VCs are legal — they
-express willingness to *wait* on that VC (the essence of Footprint's
-"wait on footprint channels") and take effect on the cycle the VC frees,
-because requests are recomputed every cycle.
+``ADD(P, VCs, priority)`` calls: the packet requests the VCs ``VCs`` at
+output port ``P`` with a given priority, and the VC allocator grants
+free VCs to the highest-priority requesters.
+
+This simulator recomputes requests from current state every cycle
+rather than holding them, so a request on a busy VC could never be
+granted and is never emitted (the observable effects of Algorithm 1's
+busy-VC requests are reproduced against the *established* VC state; see
+:mod:`repro.routing.footprint`).  With only grantable VCs requested, the
+allocator's input stage always picks among the requests at the highest
+priority, and every lower-priority ``ADD`` is dead weight.  Routing
+therefore hands the allocator exactly that top tier: one
+:class:`RequestTier` per waiting packet, or none.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.topology.ports import Direction
 
@@ -35,16 +42,30 @@ class Priority(enum.IntEnum):
     HIGHEST = 3
 
 
-class VcRequest(NamedTuple):
-    """A request for one downstream VC at one output port.
+class RequestTier(NamedTuple):
+    """The top-priority ``ADD(P, VCs, priority)`` of one waiting packet.
 
-    A NamedTuple rather than a dataclass: millions are constructed per
-    run, on the simulator's hottest path.
+    Contract, relied on by :func:`repro.router.allocator.allocate_vcs`:
+
+    * ``vcs`` is non-empty and lists only VCs of port ``direction`` that
+      are grantable this cycle;
+    * ``priority`` is the highest priority at which the packet has a
+      grantable request, and ``vcs`` holds every grantable request at
+      that priority, in the ascending order the algorithm emits them
+      (the allocator's tie-break draw indexes into this order);
+    * requests toward dead output ports (``RouteContext.dead_ports``)
+      are already dropped.
+
+    ``vcs`` may alias an output port's internal list (for example its
+    idle-VC cache), so it is read-only.
     """
 
     direction: Direction
-    vc: int
     priority: Priority
+    vcs: Sequence[int]
 
     def __repr__(self) -> str:
-        return f"VcRequest({self.direction.name}, vc={self.vc}, {self.priority.name})"
+        return (
+            f"RequestTier({self.direction.name}, {self.priority.name}, "
+            f"vcs={list(self.vcs)})"
+        )

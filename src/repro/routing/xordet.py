@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.oddeven import OddEvenRouting
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -79,28 +79,28 @@ class XordetOverlay(RoutingAlgorithm):
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
-    ) -> list[VcRequest]:
+    ) -> list[RequestTier]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
         view = ctx.outputs[direction]
         usable = view.adaptive_vcs()
         vc = usable[xordet_vc(ctx.mesh, ctx.destination, len(usable))]
-        requests: list[VcRequest] = []
         # The static mapping admits exactly one VC per destination; if it
         # is busy the packet waits for it (that is the scheme's
         # HoL-avoidance contract), re-requesting the cycle it frees.
-        if view.grantable(vc):
-            requests.append(VcRequest(direction, vc, Priority.LOW))
+        if view.grantable(vc) and not (ctx.dead_ports >> direction) & 1:
+            return [RequestTier(direction, Priority.LOW, (vc,))]
         if self.uses_escape:
-            requests.extend(self.escape_request(ctx))
-        return requests
+            return self.escape_request(ctx)
+        return []
 
     def candidate_pri(self, state, current, destination, committed):
         """Batched XORDET: each packet requests only its mapped VC.
 
         The destination→VC map is pure, so it is precomputed per
         destination once and gathered; grantability and the escape
-        request follow the scalar :meth:`vc_requests_at` exactly.
+        request follow Algorithm 1's full request list exactly (the
+        scalar :meth:`vc_requests_at` returns its top tier).
         """
         import numpy as np
 

@@ -128,16 +128,17 @@ AUTO_THRESHOLD_ENV = "REPRO_ENGINE_AUTO_THRESHOLD"
 
 #: Offered load — expected injected flits per cycle across the whole
 #: network (``injection_rate * num_nodes``) — at or above which ``auto``
-#: picks the vector engine.  Calibrated from the benchmark engine
-#: matrix: the vector core amortizes numpy batch overhead over the
+#: picks the vector engine.  Calibrated from interleaved vector/skip
+#: timings: the vector core amortizes numpy batch overhead over the
 #: number of concurrently-routing packets, so it loses to idle-skipping
-#: on (near-)quiescent runs and wins on loaded ones; the measured
-#: crossover sits right around 3 flits/cycle (8x8 @ 0.05 times at
-#: parity, 0.02 below favors ``skip``, 16x16 @ 0.05 = 12.8 flits/cycle
-#: favors ``vector`` by ~1.6x).  Placing the threshold *at* the
-#: break-even point means a wrong pick near the boundary costs ~nothing,
-#: while both asymptotes get their winning engine.
-AUTO_ACTIVITY_THRESHOLD = 3.0
+#: on (near-)quiescent runs and wins on loaded ones.  The measured
+#: crossover sits around 5-6 flits/cycle (8x8 @ 0.08 = 5.1 flits/cycle
+#: favors ``skip`` 0.78x, 8x8 @ 0.1 = 6.4 times at parity; 16x16 @ 0.02
+#: = 5.1 times at parity, 16x16 @ 0.03 = 7.7 favors ``vector`` ~1.5x).
+#: Placing the threshold *at* the break-even point means a wrong pick
+#: near the boundary costs little, while both asymptotes get their
+#: winning engine.
+AUTO_ACTIVITY_THRESHOLD = 6.0
 
 
 def resolve_auto_mode(config: SimulationConfig) -> str:

@@ -164,8 +164,8 @@ class TestAutoMode:
     results."""
 
     def test_loaded_config_resolves_to_vector(self):
-        # 4x4 @ 0.25 offers 4 flits/cycle — above the 3.0 threshold.
-        sim = Simulator(_config(injection_rate=0.25), engine_mode="auto")
+        # 4x4 @ 0.4 offers 6.4 flits/cycle — above the 6.0 threshold.
+        sim = Simulator(_config(injection_rate=0.4), engine_mode="auto")
         assert sim.requested_engine_mode == "auto"
         assert sim.auto_resolved == "vector"
         assert sim.engine_mode == "vector"
@@ -176,14 +176,14 @@ class TestAutoMode:
         assert sim.engine_mode == "skip"
 
     def test_auto_matches_skip_either_side_of_threshold(self):
-        for rate in (0.001, 0.25):
+        for rate in (0.001, 0.4):
             assert _sig("auto", injection_rate=rate) == _sig(
                 "skip", injection_rate=rate
             )
 
     def test_auto_inherits_vector_fallback(self):
         sim = Simulator(
-            _config(injection_rate=0.25, track_utilization=True),
+            _config(injection_rate=0.4, track_utilization=True),
             engine_mode="auto",
         )
         assert sim.auto_resolved == "vector"

@@ -1,9 +1,11 @@
 """Property-based tests for the VC allocator.
 
-For any set of requests over any port state, one allocation round must be
-a *matching*: at most one grant per input VC, at most one grant per
-(port, VC), only grantable VCs granted, and the output-stage winner never
-has lower priority than a losing contender for the same VC.
+For any set of request tiers over any port state, one allocation round
+must be a *matching*: at most one grant per input VC, at most one grant
+per (port, VC), and only grantable VCs granted — even when a tier holds
+busy VCs, which routing never emits.  On tiers routing can emit (only
+grantable VCs), the allocator makes exactly the grants and rng draws of
+the list-form allocator over the full request lists.
 """
 
 import random
@@ -14,8 +16,10 @@ from repro.router.allocator import allocate_vcs
 from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.ports import Direction
+
+from tests import request_oracle as oracle
 
 NUM_VCS = 4
 DIRECTIONS = (Direction.EAST, Direction.SOUTH)
@@ -48,18 +52,20 @@ def allocation_round(draw):
                    creation_time=0).flits()[0]
         )
         ivc.refresh_state()
-        reqs = draw(
+        vcs = draw(
             st.lists(
-                st.builds(
-                    VcRequest,
-                    direction=st.sampled_from(DIRECTIONS),
-                    vc=st.integers(0, NUM_VCS - 1),
-                    priority=st.sampled_from(list(Priority)),
-                ),
-                max_size=6,
+                st.integers(0, NUM_VCS - 1),
+                min_size=1,
+                max_size=NUM_VCS,
+                unique=True,
             )
         )
-        requests.append((ivc, reqs))
+        tier = RequestTier(
+            draw(st.sampled_from(DIRECTIONS)),
+            draw(st.sampled_from(list(Priority))),
+            sorted(vcs),
+        )
+        requests.append((ivc, tier))
     seed = draw(st.integers(0, 999))
     return outputs, requests, seed
 
@@ -84,13 +90,13 @@ def test_allocation_is_a_valid_matching(round_):
     for key in out_keys:
         assert grantable_before[key]
 
-    # Every grant corresponds to a request made by that input VC.
-    by_input = {id(ivc): reqs for ivc, reqs in requests}
+    # Every grant is a VC of that input VC's tier, at its priority.
+    by_input = {id(ivc): tier for ivc, tier in requests}
     for g in grants:
-        assert any(
-            r.direction is g.direction and r.vc == g.out_vc
-            for r in by_input[id(g.input_vc)]
-        )
+        tier = by_input[id(g.input_vc)]
+        assert tier.direction is g.direction
+        assert g.out_vc in tier.vcs
+        assert g.priority is tier.priority
 
 
 @given(allocation_round())
@@ -99,9 +105,9 @@ def test_work_conserving(round_):
     (the allocator never wastes a cycle entirely)."""
     outputs, requests, seed = round_
     any_grantable = any(
-        outputs[r.direction].grantable(r.vc)
-        for _, reqs in requests
-        for r in reqs
+        outputs[tier.direction].grantable(vc)
+        for _, tier in requests
+        for vc in tier.vcs
     )
     grants = allocate_vcs(requests, outputs, random.Random(seed))
     assert bool(grants) == any_grantable
@@ -119,3 +125,46 @@ def test_allocation_deterministic_for_seed(round_):
         ]
 
     assert run() == run()
+
+
+@given(allocation_round(), st.data())
+def test_draws_match_list_form_allocator(round_, data):
+    """Full request lists for grantable VCs only (what routing emits),
+    allocated in list form and as their top tiers: same grants, same rng
+    state afterwards."""
+    outputs, requests, seed = round_
+    free = [
+        (d, v) for d in DIRECTIONS for v in range(NUM_VCS)
+        if outputs[d].grantable(v)
+    ]
+    lists = []
+    for ivc, _ in requests:
+        direction = data.draw(st.sampled_from(DIRECTIONS))
+        vcs = [v for d, v in free if d is direction]
+        pris = data.draw(
+            st.lists(
+                st.sampled_from(list(Priority)),
+                min_size=len(vcs),
+                max_size=len(vcs),
+            )
+        )
+        lists.append(
+            (
+                ivc,
+                [
+                    oracle.VcRequest(direction, v, p)
+                    for v, p in zip(vcs, pris)
+                ],
+            )
+        )
+    tiers = [
+        (ivc, tier)
+        for ivc, reqs in lists
+        if (tier := oracle.top_tier(reqs, outputs)) is not None
+    ]
+    old_rng = random.Random(seed)
+    new_rng = random.Random(seed)
+    assert allocate_vcs(tiers, outputs, new_rng) == oracle.allocate_vcs(
+        lists, outputs, old_rng
+    )
+    assert new_rng.getstate() == old_rng.getstate()

@@ -1,12 +1,13 @@
-"""Property test: ``candidate_mask`` against the scalar request oracle.
+"""Property test: ``candidate_mask`` against the list-form request oracle.
 
 For any reachable output-port VC state (built by mutating real
 :class:`OutputPort` objects, then snapshotted with
 :meth:`VcStateArrays.capture`) and any packet, the batched
 ``candidate_mask`` row — enumerated in (priority descending, VC
 ascending) order, exactly as the vector engine reconstructs request
-lists — must equal the scalar ``vc_requests_at`` list for the same
-committed direction, request for request and in order.
+lists — must equal the oracle's full request list for the same
+committed direction, request for request and in order, and the row's
+best run must equal the scalar ``vc_requests_at`` tier.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import NUM_PORTS, Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import make_context
 
 ALGOS = available_algorithms()
@@ -125,7 +127,7 @@ def test_candidate_mask_matches_scalar_requests(case):
     direction = algo.select_output(ctx)
     scalar = [
         (int(r.direction), r.vc, int(r.priority))
-        for r in algo.vc_requests_at(ctx, direction)
+        for r in oracle.checked_requests_at(algo, ctx, direction)
     ]
 
     state = VcStateArrays.capture(
@@ -154,6 +156,16 @@ def test_candidate_mask_matches_scalar_requests(case):
     entries.sort(key=lambda e: (-e[0], e[2]))
     batched = [(d, v, p) for p, d, v in entries]
     assert batched == scalar
+    # The best run (the vector engine's allocator input) is the tier.
+    best = [
+        (Direction(d), Priority(p), v)
+        for d, v, p in batched
+        if p == batched[0][2]
+    ]
+    tiers = oracle.tier_key(algo.vc_requests_at(ctx, direction))
+    assert tiers == (
+        [(best[0][0], best[0][1], [v for _, _, v in best])] if best else []
+    )
 
     # Well-formedness, mirroring the scalar property test: every request
     # targets a grantable VC, non-escape requests stay on the committed

@@ -75,8 +75,9 @@ def request_case(draw):
 @given(request_case())
 @settings(max_examples=200)
 def test_requests_are_well_formed(case):
-    """For any local state: the committed port is legal, every request
-    targets a grantable VC at an existing port, and priorities are valid."""
+    """For any local state: the committed port is legal, at most one
+    tier is returned, and it targets grantable VCs at an existing port
+    with a valid priority."""
     mesh, algo, cur, dst, outputs, num_vcs, threshold, seed = case
     ctx = make_context(
         mesh,
@@ -92,19 +93,25 @@ def test_requests_are_well_formed(case):
         assert direction is Direction.LOCAL
     else:
         assert direction in algo.allowed_directions(mesh, cur, dst, cur)
-    requests = algo.vc_requests_at(ctx, direction)
+    tiers = algo.vc_requests_at(ctx, direction)
+    assert len(tiers) <= 1
     escape_dir = mesh.dor_direction(cur, dst)
-    for r in requests:
-        assert r.direction in outputs
-        assert 0 <= r.vc < num_vcs
-        assert isinstance(r.priority, Priority)
-        view = outputs[r.direction]
-        assert view.grantable(r.vc)
+    for tier in tiers:
+        assert tier.direction in outputs
+        assert isinstance(tier.priority, Priority)
+        # Non-empty and distinct (the order is the emission order,
+        # checked against the list-form oracle elsewhere).
+        assert tier.vcs and len(set(tier.vcs)) == len(tier.vcs)
+        view = outputs[tier.direction]
+        for vc in tier.vcs:
+            assert 0 <= vc < num_vcs
+            assert view.grantable(vc)
         # Non-escape requests stay on the committed port; the only other
         # port a request may name is the DOR escape port.
-        if r.direction is not direction:
-            assert r.direction is escape_dir
-            assert r.vc == view.escape_vc
+        if tier.direction is not direction:
+            assert tier.direction is escape_dir
+            assert tier.priority is Priority.LOWEST
+            assert list(tier.vcs) == [view.escape_vc]
 
 
 @given(

@@ -6,7 +6,7 @@ from repro.router.allocator import allocate_vcs
 from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc, VcState
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, RequestTier
 from repro.topology.ports import Direction
 
 
@@ -33,14 +33,14 @@ def make_input(direction=Direction.WEST, index=0, dst=9):
     return ivc
 
 
-def req(vc, pri=Priority.LOW, direction=Direction.EAST):
-    return VcRequest(direction, vc, pri)
+def tier(*vcs, pri=Priority.LOW, direction=Direction.EAST):
+    return RequestTier(direction, pri, list(vcs))
 
 
 def test_single_request_granted():
     outputs = make_outputs()
     ivc = make_input()
-    grants = allocate_vcs([(ivc, [req(1)])], outputs, random.Random(1))
+    grants = allocate_vcs([(ivc, tier(1))], outputs, random.Random(1))
     assert len(grants) == 1
     assert grants[0].input_vc is ivc
     assert grants[0].direction is Direction.EAST
@@ -51,7 +51,7 @@ def test_busy_vc_not_granted():
     outputs = make_outputs()
     outputs[Direction.EAST].allocate(1, dst=5)
     ivc = make_input()
-    grants = allocate_vcs([(ivc, [req(1)])], outputs, random.Random(1))
+    grants = allocate_vcs([(ivc, tier(1))], outputs, random.Random(1))
     assert grants == []
 
 
@@ -60,7 +60,10 @@ def test_priority_wins_contention():
     low = make_input(index=0)
     high = make_input(index=1)
     grants = allocate_vcs(
-        [(low, [req(2, Priority.LOW)]), (high, [req(2, Priority.HIGH)])],
+        [
+            (low, tier(2, pri=Priority.LOW)),
+            (high, tier(2, pri=Priority.HIGH)),
+        ],
         outputs,
         random.Random(1),
     )
@@ -69,23 +72,22 @@ def test_priority_wins_contention():
     assert grants[0].priority is Priority.HIGH
 
 
-def test_input_prefers_its_highest_priority_request():
+def test_grant_carries_tier_priority():
     outputs = make_outputs()
     ivc = make_input()
     grants = allocate_vcs(
-        [(ivc, [req(0, Priority.LOW), req(3, Priority.HIGHEST)])],
-        outputs,
-        random.Random(1),
+        [(ivc, tier(3, pri=Priority.HIGHEST))], outputs, random.Random(1)
     )
     assert len(grants) == 1
     assert grants[0].out_vc == 3
+    assert grants[0].priority is Priority.HIGHEST
 
 
 def test_one_grant_per_input_vc():
     outputs = make_outputs()
     ivc = make_input()
     grants = allocate_vcs(
-        [(ivc, [req(v, Priority.LOW) for v in range(4)])],
+        [(ivc, tier(0, 1, 2, 3))],
         outputs,
         random.Random(1),
     )
@@ -97,7 +99,7 @@ def test_distinct_vcs_allow_parallel_grants():
     a = make_input(index=0)
     b = make_input(index=1)
     grants = allocate_vcs(
-        [(a, [req(0)]), (b, [req(1)])], outputs, random.Random(1)
+        [(a, tier(0)), (b, tier(1))], outputs, random.Random(1)
     )
     assert len(grants) == 2
     assert {g.out_vc for g in grants} == {0, 1}
@@ -108,7 +110,7 @@ def test_collision_on_same_vc_grants_exactly_one():
     a = make_input(index=0)
     b = make_input(index=1)
     grants = allocate_vcs(
-        [(a, [req(2)]), (b, [req(2)])], outputs, random.Random(1)
+        [(a, tier(2)), (b, tier(2))], outputs, random.Random(1)
     )
     assert len(grants) == 1
 
@@ -119,8 +121,8 @@ def test_requests_to_different_ports():
     b = make_input(index=1)
     grants = allocate_vcs(
         [
-            (a, [req(0, direction=Direction.EAST)]),
-            (b, [req(0, direction=Direction.SOUTH)]),
+            (a, tier(0, direction=Direction.EAST)),
+            (b, tier(0, direction=Direction.SOUTH)),
         ],
         outputs,
         random.Random(1),
@@ -134,10 +136,11 @@ def test_deterministic_given_seed():
         outputs = make_outputs()
         inputs = [make_input(index=i) for i in range(3)]
         grants = allocate_vcs(
-            [(ivc, [req(v) for v in range(4)]) for ivc in inputs],
+            [(ivc, tier(0, 1, 2, 3)) for ivc in inputs],
             outputs,
             random.Random(seed),
         )
         return sorted((g.input_vc.index, g.out_vc) for g in grants)
 
     assert run(5) == run(5)
+

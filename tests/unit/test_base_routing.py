@@ -8,6 +8,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -25,7 +26,7 @@ class TestEjectRequests:
         }
         outputs[Direction.LOCAL] = FakeOutputView(escape_vc=None, idle=[1, 3])
         ctx = make_context(mesh, 5, 5, outputs)
-        reqs = algo.eject_requests(ctx)
+        reqs = oracle.checked_eject(algo, ctx)
         assert {(r.direction, r.vc) for r in reqs} == {
             (Direction.LOCAL, 1),
             (Direction.LOCAL, 3),
@@ -39,7 +40,7 @@ class TestEjectRequests:
             for d in mesh.router_ports(5)
         }
         ctx = make_context(mesh, 5, 5, outputs)
-        assert algo.eject_requests(ctx) == []
+        assert oracle.checked_eject(algo, ctx) == []
 
 
 class TestEscapeRequest:
@@ -48,7 +49,7 @@ class TestEscapeRequest:
         outputs = {d: FakeOutputView() for d in mesh.router_ports(5)}
         # From 5 to 7: DOR port is EAST.
         ctx = make_context(mesh, 5, 7, outputs)
-        (req,) = algo.escape_request(ctx)
+        (req,) = oracle.checked_escape(algo, ctx)
         assert req.direction is Direction.EAST
         assert req.vc == 0
         assert req.priority is Priority.LOWEST
@@ -58,7 +59,7 @@ class TestEscapeRequest:
         outputs = {d: FakeOutputView() for d in mesh.router_ports(5)}
         outputs[Direction.EAST].escape_free = False
         ctx = make_context(mesh, 5, 7, outputs)
-        assert algo.escape_request(ctx) == []
+        assert oracle.checked_escape(algo, ctx) == []
 
     def test_absent_without_escape_vc(self, mesh):
         algo = DorRouting()
@@ -67,7 +68,7 @@ class TestEscapeRequest:
             for d in mesh.router_ports(5)
         }
         ctx = make_context(mesh, 5, 7, outputs)
-        assert algo.escape_request(ctx) == []
+        assert oracle.checked_escape(algo, ctx) == []
 
 
 class TestRouteComposition:

@@ -124,11 +124,9 @@ class TestFreshRelease:
         port.allocate(1, dst=7)
         port.send(flit(), 1)
         port.credit_return(1)
-        version = port.version
         port.clear_fresh()
         assert port.fresh_footprint_vcs(7) == []
         assert port.established_idle_vcs() == [1, 2, 3]
-        assert port.version > version
 
     def test_reallocation_clears_fresh(self):
         port = make_port(atomic=True)
@@ -138,12 +136,6 @@ class TestFreshRelease:
         port.allocate(1, dst=9)
         assert port.fresh_footprint_vcs(7) == []
         assert port.footprint_vcs(9) == [1]
-
-    def test_version_bumps_on_state_changes(self):
-        port = make_port()
-        v0 = port.version
-        port.allocate(1, dst=7)
-        assert port.version > v0
 
 
 class TestSwitchTraversal:

@@ -7,6 +7,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -66,7 +67,7 @@ def test_oblivious_vc_selection_flat_priority(mesh):
     ctx = make_context(mesh, 0, DST, outputs)
     reqs = [
         r
-        for r in algo.vc_requests_at(ctx, Direction.EAST)
+        for r in oracle.checked_requests_at(algo, ctx, Direction.EAST)
         if r.priority is not Priority.LOWEST
     ]
     # No footprint awareness: just the free VCs, all LOW.
@@ -78,7 +79,7 @@ def test_escape_request_present(mesh):
     algo = DbarRouting()
     outputs = outputs_for(mesh, 0)
     ctx = make_context(mesh, 0, DST, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.SOUTH)
+    reqs = oracle.checked_requests_at(algo, ctx, Direction.SOUTH)
     escape = [r for r in reqs if r.priority is Priority.LOWEST]
     assert len(escape) == 1
     # Escape uses the DOR direction (EAST from 0 to 10) and VC0.

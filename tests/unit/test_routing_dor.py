@@ -7,6 +7,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -40,7 +41,7 @@ def test_y_after_x_resolved(algo, mesh):
 def test_requests_every_free_vc_flat(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 10, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
+    reqs = oracle.checked_requests_at(algo, ctx, Direction.EAST)
     assert {r.vc for r in reqs} == {0, 1, 2, 3}
     assert all(r.priority is Priority.LOW for r in reqs)
     assert all(r.direction is Direction.EAST for r in reqs)
@@ -50,7 +51,7 @@ def test_busy_vcs_not_requested(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     outputs[Direction.EAST] = FakeOutputView(escape_vc=None, idle=[2])
     ctx = make_context(mesh, 0, 10, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
+    reqs = oracle.checked_requests_at(algo, ctx, Direction.EAST)
     assert [r.vc for r in reqs] == [2]
 
 

@@ -7,6 +7,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -42,7 +43,7 @@ class TestProperties:
         outputs = outputs_for(mesh, DST, FakeOutputView)
         ctx = make_context(mesh, DST, DST, outputs)
         assert algo.select_output(ctx) is Direction.LOCAL
-        reqs = algo.vc_requests_at(ctx, Direction.LOCAL)
+        reqs = oracle.checked_requests_at(algo, ctx, Direction.LOCAL)
         assert all(r.direction is Direction.LOCAL for r in reqs)
         assert reqs  # free sink VCs exist
 
@@ -97,7 +98,7 @@ class TestVcRequestRegimes:
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[1, 2, 3])
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = algo.vc_requests(ctx, Direction.EAST)
+        reqs = oracle.checked_adaptive(algo, ctx, Direction.EAST)
         assert {r.vc for r in reqs} == {1, 2, 3}
         assert all(r.priority is Priority.LOW for r in reqs)
 
@@ -105,7 +106,7 @@ class TestVcRequestRegimes:
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[2], established=[2])
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = algo.vc_requests(ctx, Direction.EAST)
+        reqs = oracle.checked_adaptive(algo, ctx, Direction.EAST)
         assert [(r.vc, r.priority) for r in reqs] == [(2, Priority.HIGHEST)]
 
     def test_intermediate_fresh_footprint_at_high(self, algo, mesh):
@@ -115,7 +116,10 @@ class TestVcRequestRegimes:
             idle=[2, 3], established=[2], owners={3: DST}, fresh={3}
         )
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = {r.vc: r.priority for r in algo.vc_requests(ctx, Direction.EAST)}
+        reqs = {
+            r.vc: r.priority
+            for r in oracle.checked_adaptive(algo, ctx, Direction.EAST)
+        }
         assert reqs[2] is Priority.HIGHEST
         assert reqs[3] is Priority.HIGH
 
@@ -125,7 +129,10 @@ class TestVcRequestRegimes:
             idle=[2, 3], established=[2], owners={3: 99}, fresh={3}
         )
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = {r.vc: r.priority for r in algo.vc_requests(ctx, Direction.EAST)}
+        reqs = {
+            r.vc: r.priority
+            for r in oracle.checked_adaptive(algo, ctx, Direction.EAST)
+        }
         assert reqs[3] is Priority.LOW
 
     def test_saturated_with_busy_footprint_waits(self, algo, mesh):
@@ -135,7 +142,7 @@ class TestVcRequestRegimes:
             idle=[], established=[], owners={1: DST}
         )
         ctx = make_context(mesh, 0, DST, outputs)
-        assert algo.vc_requests(ctx, Direction.EAST) == []
+        assert oracle.checked_adaptive(algo, ctx, Direction.EAST) == []
 
     def test_saturated_reclaims_freed_footprint_at_high(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -143,7 +150,7 @@ class TestVcRequestRegimes:
             idle=[1], established=[], owners={1: DST}, fresh={1}
         )
         ctx = make_context(mesh, 0, DST, outputs)
-        reqs = algo.vc_requests(ctx, Direction.EAST)
+        reqs = oracle.checked_adaptive(algo, ctx, Direction.EAST)
         assert [(r.vc, r.priority) for r in reqs] == [(1, Priority.HIGH)]
 
     def test_saturated_does_not_take_other_flows_freed_vcs(self, algo, mesh):
@@ -154,7 +161,7 @@ class TestVcRequestRegimes:
             idle=[2], established=[], owners={1: DST, 2: 99}, fresh={2}
         )
         ctx = make_context(mesh, 0, DST, outputs)
-        assert algo.vc_requests(ctx, Direction.EAST) == []
+        assert oracle.checked_adaptive(algo, ctx, Direction.EAST) == []
 
     def test_saturated_no_footprint_takes_any_freed_vc(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -162,7 +169,7 @@ class TestVcRequestRegimes:
             idle=[2], established=[], owners={2: 99}, fresh={2}
         )
         ctx = make_context(mesh, 0, DST, outputs)
-        reqs = algo.vc_requests(ctx, Direction.EAST)
+        reqs = oracle.checked_adaptive(algo, ctx, Direction.EAST)
         assert [(r.vc, r.priority) for r in reqs] == [(2, Priority.LOW)]
 
 
@@ -170,7 +177,7 @@ class TestEscapeHandling:
     def test_escape_requested_at_lowest(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
         ctx = make_context(mesh, 0, DST, outputs)
-        reqs = algo.vc_requests_at(ctx, Direction.EAST)
+        reqs = oracle.checked_requests_at(algo, ctx, Direction.EAST)
         escape = [r for r in reqs if r.priority is Priority.LOWEST]
         assert len(escape) == 1
         assert escape[0].vc == 0
@@ -183,14 +190,62 @@ class TestEscapeHandling:
             idle=[], established=[], owners={1: DST}
         )
         ctx = make_context(mesh, 0, DST, outputs)
-        assert algo.vc_requests_at(ctx, Direction.EAST) == []
+        assert oracle.checked_requests_at(algo, ctx, Direction.EAST) == []
 
     def test_escape_present_when_no_footprint(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[], established=[])
         ctx = make_context(mesh, 0, DST, outputs)
-        reqs = algo.vc_requests_at(ctx, Direction.EAST)
+        reqs = oracle.checked_requests_at(algo, ctx, Direction.EAST)
         assert [r.priority for r in reqs] == [Priority.LOWEST]
+
+
+class TestTopTier:
+    """The tier handed to the allocator is the top of the full list."""
+
+    def test_intermediate_tier_is_established_at_highest(self, algo, mesh):
+        outputs = outputs_for(mesh, 0, FakeOutputView)
+        outputs[Direction.EAST] = FakeOutputView(
+            idle=[2, 3], established=[2], owners={3: DST}, fresh={3}
+        )
+        ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
+        oracle.checked_requests_at(algo, ctx, Direction.EAST)
+        (tier,) = algo.vc_requests_at(ctx, Direction.EAST)
+        assert tier.direction is Direction.EAST
+        assert tier.priority is Priority.HIGHEST
+        assert list(tier.vcs) == [2]
+
+    def test_dead_committed_port_falls_back_to_escape(self, algo, mesh):
+        # Adaptive requests exist at SOUTH, but SOUTH is dead: the packet
+        # is not waiting on a footprint, so its escape request (on the
+        # DOR port, EAST) is the tier.
+        outputs = outputs_for(mesh, 0, FakeOutputView)
+        ctx = make_context(mesh, 0, DST, outputs)
+        ctx.dead_ports = 1 << Direction.SOUTH
+        oracle.checked_requests_at(algo, ctx, Direction.SOUTH)
+        (tier,) = algo.vc_requests_at(ctx, Direction.SOUTH)
+        assert (tier.direction, tier.priority, list(tier.vcs)) == (
+            Direction.EAST,
+            Priority.LOWEST,
+            [0],
+        )
+
+    def test_dead_port_while_waiting_requests_nothing(self, algo, mesh):
+        outputs = outputs_for(mesh, 0, FakeOutputView)
+        outputs[Direction.SOUTH] = FakeOutputView(
+            idle=[], established=[], owners={1: DST}
+        )
+        ctx = make_context(mesh, 0, DST, outputs)
+        ctx.dead_ports = 1 << Direction.SOUTH
+        assert oracle.checked_requests_at(algo, ctx, Direction.SOUTH) == []
+
+    def test_dead_escape_port_drops_escape(self, algo, mesh):
+        outputs = outputs_for(mesh, 0, FakeOutputView)
+        outputs[Direction.SOUTH] = FakeOutputView(idle=[], established=[])
+        ctx = make_context(mesh, 0, DST, outputs)
+        ctx.dead_ports = 1 << Direction.EAST
+        oracle.checked_requests_at(algo, ctx, Direction.SOUTH)
+        assert algo.vc_requests_at(ctx, Direction.SOUTH) == []
 
 
 class TestFootprintVcLimit:
@@ -204,7 +259,7 @@ class TestFootprintVcLimit:
         ctx = make_context(
             mesh, 0, DST, outputs, footprint_vc_limit=2
         )
-        assert algo.vc_requests(ctx, Direction.EAST) == []
+        assert oracle.checked_adaptive(algo, ctx, Direction.EAST) == []
 
     def test_below_limit_unrestricted(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -214,4 +269,4 @@ class TestFootprintVcLimit:
         ctx = make_context(
             mesh, 0, DST, outputs, footprint_vc_limit=2
         )
-        assert algo.vc_requests(ctx, Direction.EAST) != []
+        assert oracle.checked_adaptive(algo, ctx, Direction.EAST) != []

@@ -8,6 +8,7 @@ from repro.routing.oddeven import OddEvenRouting
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -114,5 +115,5 @@ def test_all_vcs_usable(algo):
     mesh = Mesh2D(4)
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 3, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
+    reqs = oracle.checked_requests_at(algo, ctx, Direction.EAST)
     assert {r.vc for r in reqs} == {0, 1, 2, 3}

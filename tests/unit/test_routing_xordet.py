@@ -10,6 +10,7 @@ from repro.routing.xordet import XordetOverlay, xordet_vc
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
+from tests import request_oracle as oracle
 from tests.conftest import FakeOutputView, make_context
 
 
@@ -58,7 +59,7 @@ class TestOverlay:
         }
         ctx = make_context(mesh, 0, 9, outputs)
         direction = overlay.select_output(ctx)
-        reqs = overlay.vc_requests_at(ctx, direction)
+        reqs = oracle.checked_requests_at(overlay, ctx, direction)
         assert len(reqs) == 1
         assert reqs[0].vc == xordet_vc(mesh, 9, 4)
 
@@ -71,14 +72,14 @@ class TestOverlay:
             for d in mesh.router_ports(0)
         }
         ctx = make_context(mesh, 0, 9, outputs)
-        assert overlay.vc_requests_at(ctx, Direction.EAST) == []
+        assert oracle.checked_requests_at(overlay, ctx, Direction.EAST) == []
 
     def test_adaptive_base_keeps_escape(self, mesh):
         overlay = XordetOverlay(DbarRouting())
         outputs = {d: FakeOutputView() for d in mesh.router_ports(0)}
         ctx = make_context(mesh, 0, 9, outputs)
         direction = overlay.select_output(ctx)
-        reqs = overlay.vc_requests_at(ctx, direction)
+        reqs = oracle.checked_requests_at(overlay, ctx, direction)
         priorities = {r.priority for r in reqs}
         assert Priority.LOWEST in priorities  # escape survives the overlay
         non_escape = [r for r in reqs if r.priority is not Priority.LOWEST]
@@ -98,4 +99,4 @@ class TestOverlay:
         }
         ctx = make_context(mesh, 9, 9, outputs)
         assert overlay.select_output(ctx) is Direction.LOCAL
-        assert overlay.vc_requests_at(ctx, Direction.LOCAL)
+        assert oracle.checked_requests_at(overlay, ctx, Direction.LOCAL)
